@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "autograd/ops.hpp"
+#include "fl/aggregate.hpp"
 #include "models/serialize.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
@@ -77,19 +78,10 @@ void FedClassAvg::initialize(fl::FederatedRun& run) {
   FCA_CHECK_MSG(!contributors.empty(),
                 "no client survived initialization: every init upload was "
                 "lost to transport failures");
-  const std::vector<double> weights = run.data_weights(contributors);
-  global_.clear();
-  for (size_t i = 0; i < contributors.size(); ++i) {
-    const std::vector<Tensor> up =
-        models::deserialize_tensors(collected.uploads[i]);
-    if (global_.empty()) {
-      for (const Tensor& t : up) global_.emplace_back(t.shape());
-    }
-    FCA_CHECK(up.size() == global_.size());
-    for (size_t t = 0; t < up.size(); ++t) {
-      axpy_(global_[t], static_cast<float>(weights[i]), up[t]);
-    }
-  }
+  global_ = fl::weighted_average(
+      run.data_weights(contributors), {}, [&](size_t i) {
+        return models::deserialize_tensors(collected.uploads[i]);
+      });
   const comm::Bytes payload = models::serialize_tensors(global_);
   // Condemned ranks are short-circuited by the network, so the broadcast
   // still targets everyone.
@@ -111,22 +103,12 @@ void FedClassAvg::initialize(fl::FederatedRun& run) {
 comm::Bytes FedClassAvg::initialize_lazy(fl::FederatedRun& run) {
   std::vector<int> all;
   for (int k = 0; k < run.num_clients(); ++k) all.push_back(k);
-  const std::vector<double> weights = run.data_weights(all);
-  global_.clear();
-  for (int k : all) {
-    // One client at a time: under a paged store the sweep's footprint is
-    // O(1) clients, not O(population).
-    const std::vector<Tensor> up = models::snapshot_values(
-        shared_params(run.client_readonly(k), config_.share_all_weights));
-    if (global_.empty()) {
-      for (const Tensor& t : up) global_.emplace_back(t.shape());
-    }
-    FCA_CHECK(up.size() == global_.size());
-    for (size_t t = 0; t < up.size(); ++t) {
-      axpy_(global_[t], static_cast<float>(weights[static_cast<size_t>(k)]),
-            up[t]);
-    }
-  }
+  // One client at a time: under a paged store the sweep's footprint is O(1)
+  // clients, not O(population).
+  global_ = fl::weighted_average(run.data_weights(all), {}, [&](size_t k) {
+    return models::snapshot_values(shared_params(
+        run.client_readonly(static_cast<int>(k)), config_.share_all_weights));
+  });
   return models::serialize_tensors(global_);
 }
 
@@ -148,7 +130,8 @@ void FedClassAvg::load_state(std::span<const std::byte> state) {
 }
 
 float FedClassAvg::train_epoch(fl::Client& client, const Tensor& global_weight,
-                               const Tensor& global_bias) const {
+                               const Tensor& global_bias,
+                               const ExtraLoss& extra) const {
   models::SplitModel& model = client.model();
   nn::Linear& clf = model.classifier();
   FCA_CHECK(global_weight.same_shape(clf.weight().value) &&
@@ -196,6 +179,7 @@ float FedClassAvg::train_epoch(fl::Client& client, const Tensor& global_weight,
           ag::exp(ag::mul_scalar(ag::log(ag::add_scalar(ss, 1e-12f)), 0.5f));
       loss = ag::add(loss, ag::mul_scalar(dist, config_.rho));
     }
+    if (extra) loss = ag::add(loss, extra(f, batch));
     loss.backward();
 
     add_(clf.weight().grad, w.grad());
@@ -216,18 +200,7 @@ float FedClassAvg::execute_round(fl::FederatedRun& run, int round,
   // +weight). A crashed client neither receives nor trains this round; on
   // rejoin its next downlink re-syncs it with the current global state.
   const std::vector<int> live = run.live_clients(round, selected);
-  comm::Bytes payload;
-  {
-    obs::TraceSpan ser_span("fl", "serialize");
-    payload = models::serialize_tensors(global_);
-    ser_span.set_value(static_cast<int64_t>(payload.size()));
-  }
-  {
-    obs::TraceSpan bcast_span("fl", "broadcast",
-                              static_cast<int64_t>(live.size()));
-    run.server_endpoint().bcast_send(fl::FederatedRun::ranks_of(live),
-                                     fl::kTagModelDown, payload);
-  }
+  fl::broadcast_tensors(run, live, fl::kTagModelDown, global_);
 
   // Per-client local updates on the round executor (fl/executor.hpp):
   // each body touches only its own client's state and rank mailboxes, so
@@ -270,19 +243,9 @@ float FedClassAvg::execute_round(fl::FederatedRun& run, int round,
       run.gather_survivors(live, fl::kTagModelUp);
   agg_span.set_value(static_cast<int64_t>(g.survivors.size()));
   if (g.quorum_met && !g.survivors.empty()) {
-    const std::vector<double> weights = run.data_weights(g.survivors);
-    std::vector<Tensor> agg;
-    agg.reserve(global_.size());
-    for (const Tensor& t : global_) agg.emplace_back(t.shape());
-    for (size_t i = 0; i < g.survivors.size(); ++i) {
-      const std::vector<Tensor> up =
-          models::deserialize_tensors(g.payloads[i]);
-      FCA_CHECK(up.size() == agg.size());
-      for (size_t t = 0; t < agg.size(); ++t) {
-        axpy_(agg[t], static_cast<float>(weights[i]), up[t]);
-      }
-    }
-    global_ = std::move(agg);
+    global_ = fl::weighted_average(
+        run.data_weights(g.survivors), fl::shapes_of(global_),
+        [&](size_t i) { return models::deserialize_tensors(g.payloads[i]); });
   }
   return fl::FederatedRun::mean_finite(losses, run.config().local_epochs);
 }

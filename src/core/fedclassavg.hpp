@@ -17,6 +17,10 @@
 // regularizes the classifier. The ablation flags reproduce Table 4.
 #pragma once
 
+#include <functional>
+
+#include "autograd/variable.hpp"
+#include "data/dataset.hpp"
 #include "fl/server.hpp"
 
 namespace fca::core {
@@ -68,11 +72,18 @@ class FedClassAvg : public fl::RoundStrategy {
 
   const FedClassAvgConfig& config() const { return config_; }
 
-  /// One local epoch of the eq. (4) objective against the given global
-  /// classifier (weight, bias). Exposed for tests and for the ablation
-  /// bench; returns the mean batch loss.
+  /// A loss term added to the eq. (4) objective after CE, contrastive and
+  /// proximal terms: gets the batch's [2B, D] feature leaf (first view in
+  /// rows [0, B)) and the batch.
+  using ExtraLoss = std::function<ag::Variable(const ag::Variable& feats,
+                                               const data::Batch& batch)>;
+
+  /// One local epoch of the eq. (4) objective (plus `extra`, when set)
+  /// against the given global classifier (weight, bias). Exposed for tests
+  /// and for the ablation bench; returns the mean batch loss.
   float train_epoch(fl::Client& client, const Tensor& global_weight,
-                    const Tensor& global_bias) const;
+                    const Tensor& global_bias,
+                    const ExtraLoss& extra = {}) const;
 
  private:
   FedClassAvgConfig config_;

@@ -32,6 +32,9 @@ struct FedClassAvgProtoConfig {
 
 class FedClassAvgProto : public fl::RoundStrategy {
  public:
+  /// Rejects the +weight (share_all_weights) and SimCLR (kSelfSupervised)
+  /// base configurations: the prototype pull is defined for the
+  /// heterogeneous, supervised-contrastive method only.
   explicit FedClassAvgProto(FedClassAvgProtoConfig config = {});
 
   std::string name() const override { return "FedClassAvg+Proto"; }
@@ -53,11 +56,11 @@ class FedClassAvgProto : public fl::RoundStrategy {
   const std::vector<bool>& prototype_valid() const { return valid_; }
 
  private:
-  float train_epoch(fl::Client& client, const Tensor& global_weight,
-                    const Tensor& global_bias, const Tensor& protos,
-                    const std::vector<bool>& valid, bool proto_active) const;
-
   FedClassAvgProtoConfig config_;
+  /// The classifier half of the protocol: its lazy C^1 sweep and
+  /// bootstrap, and the eq. (4) loss head that local epochs run with the
+  /// prototype pull as the extra term. Round state lives in global_.
+  FedClassAvg head_;
   std::vector<Tensor> global_;  // [classifier W, classifier b]
   Tensor global_protos_;
   std::vector<bool> valid_;

@@ -3,10 +3,10 @@
 #include <limits>
 #include <optional>
 
+#include "fl/aggregate.hpp"
 #include "models/serialize.hpp"
 #include "obs/trace.hpp"
 #include "utils/error.hpp"
-#include "tensor/ops.hpp"
 
 namespace fca::fl {
 
@@ -55,18 +55,7 @@ float FedAvg::execute_round(FederatedRun& run, int round,
   // Server -> live cohort members: current global model. Crashed clients
   // are filtered out up front — they neither receive nor train this round.
   const std::vector<int> live = run.live_clients(round, selected);
-  comm::Bytes payload;
-  {
-    obs::TraceSpan ser_span("fl", "serialize");
-    payload = models::serialize_tensors(global_);
-    ser_span.set_value(static_cast<int64_t>(payload.size()));
-  }
-  {
-    obs::TraceSpan bcast_span("fl", "broadcast",
-                              static_cast<int64_t>(live.size()));
-    run.server_endpoint().bcast_send(FederatedRun::ranks_of(live),
-                                     kTagModelDown, payload);
-  }
+  broadcast_tensors(run, live, kTagModelDown, global_);
 
   // Clients: load, train E local epochs, upload — one executor body per
   // participant. A client whose downlink was lost skips the round and
@@ -105,19 +94,10 @@ float FedAvg::execute_round(FederatedRun& run, int round,
       run.gather_survivors(live, kTagModelUp);
   agg_span.set_value(static_cast<int64_t>(g.survivors.size()));
   if (g.quorum_met && !g.survivors.empty()) {
-    const std::vector<double> weights = run.data_weights(g.survivors);
-    std::vector<Tensor> agg;
-    agg.reserve(global_.size());
-    for (const Tensor& t : global_) agg.emplace_back(t.shape());
-    for (size_t i = 0; i < g.survivors.size(); ++i) {
-      const std::vector<Tensor> up =
-          models::deserialize_tensors(g.payloads[i]);
-      FCA_CHECK(up.size() == agg.size());
-      for (size_t t = 0; t < agg.size(); ++t) {
-        axpy_(agg[t], static_cast<float>(weights[i]), up[t]);
-      }
-    }
-    global_ = std::move(agg);
+    global_ = weighted_average(
+        run.data_weights(g.survivors), shapes_of(global_), [&](size_t i) {
+          return models::deserialize_tensors(g.payloads[i]);
+        });
   }
   return FederatedRun::mean_finite(losses, run.config().local_epochs);
 }

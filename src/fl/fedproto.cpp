@@ -3,51 +3,22 @@
 #include <limits>
 #include <optional>
 
+#include "fl/aggregate.hpp"
 #include "models/serialize.hpp"
 #include "obs/trace.hpp"
 #include "utils/error.hpp"
-#include "tensor/ops.hpp"
 
 namespace fca::fl {
 
 comm::Bytes FedProto::save_state() const {
-  // Prototypes plus the seen-class mask as a 0/1 float tensor.
-  Tensor mask({static_cast<int64_t>(valid_.size())});
-  for (size_t i = 0; i < valid_.size(); ++i) {
-    mask[static_cast<int64_t>(i)] = valid_[i] ? 1.0f : 0.0f;
-  }
-  return models::serialize_tensors({global_protos_, mask});
+  return models::serialize_tensors({global_protos_, valid_mask(valid_)});
 }
 
 void FedProto::load_state(std::span<const std::byte> state) {
   std::vector<Tensor> t = models::deserialize_tensors(state);
   FCA_CHECK_MSG(t.size() == 2, "FedProto state must hold [protos, mask]");
   global_protos_ = std::move(t[0]);
-  valid_.assign(static_cast<size_t>(t[1].numel()), false);
-  for (size_t i = 0; i < valid_.size(); ++i) {
-    valid_[i] = t[1][static_cast<int64_t>(i)] != 0.0f;
-  }
-}
-
-std::pair<Tensor, Tensor> FedProto::local_prototypes(Client& c) {
-  const data::Dataset& ds = c.train_data();
-  const int64_t d = c.model().feature_dim();
-  const int64_t num_classes = c.model().num_classes();
-  Tensor feats = c.extract_features(ds);
-  Tensor protos({num_classes, d});
-  Tensor counts({num_classes});
-  for (int64_t i = 0; i < ds.size(); ++i) {
-    const int y = ds.labels[static_cast<size_t>(i)];
-    counts[y] += 1.0f;
-    for (int64_t j = 0; j < d; ++j) protos[y * d + j] += feats[i * d + j];
-  }
-  for (int64_t ccls = 0; ccls < num_classes; ++ccls) {
-    if (counts[ccls] > 0.0f) {
-      const float inv = 1.0f / counts[ccls];
-      for (int64_t j = 0; j < d; ++j) protos[ccls * d + j] *= inv;
-    }
-  }
-  return {std::move(protos), std::move(counts)};
+  valid_ = valid_from_mask(t[1]);
 }
 
 float FedProto::train_epoch(Client& c, const Tensor& protos,
@@ -104,22 +75,8 @@ float FedProto::execute_round(FederatedRun& run, int round,
   // Server -> live clients: current global prototypes (+ validity as
   // floats); crashed cohort members sit the round out.
   const std::vector<int> live = run.live_clients(round, selected);
-  Tensor valid_t({num_classes});
-  for (int64_t cc = 0; cc < num_classes; ++cc) {
-    valid_t[cc] = valid_[static_cast<size_t>(cc)] ? 1.0f : 0.0f;
-  }
-  comm::Bytes down;
-  {
-    obs::TraceSpan ser_span("fl", "serialize");
-    down = models::serialize_tensors({global_protos_, valid_t});
-    ser_span.set_value(static_cast<int64_t>(down.size()));
-  }
-  {
-    obs::TraceSpan bcast_span("fl", "broadcast",
-                              static_cast<int64_t>(live.size()));
-    run.server_endpoint().bcast_send(FederatedRun::ranks_of(live),
-                                     kTagModelDown, down);
-  }
+  broadcast_tensors(run, live, kTagModelDown,
+                    {global_protos_, valid_mask(valid_)});
 
   const std::vector<double> losses = run.executor().map(live, [&](int k) {
     const ClientStore::Lease lease = run.lease_client(k);
@@ -129,11 +86,10 @@ float FedProto::execute_round(FederatedRun& run, int round,
     if (!msg_bytes.has_value()) {
       return std::numeric_limits<double>::quiet_NaN();
     }
-    const std::vector<Tensor> msg = models::deserialize_tensors(*msg_bytes);
-    std::vector<bool> valid(static_cast<size_t>(num_classes));
-    for (int64_t cc = 0; cc < num_classes; ++cc) {
-      valid[static_cast<size_t>(cc)] = msg[1][cc] > 0.5f;
-    }
+    const std::vector<Tensor> msg = decode_tensors(
+        *msg_bytes, {{c.model().num_classes(), c.model().feature_dim()},
+                     {c.model().num_classes()}});
+    const std::vector<bool> valid = valid_from_mask(msg[1]);
     double loss = 0.0;
     {
       obs::TraceSpan train_span("fl", "local-train",
@@ -155,29 +111,10 @@ float FedProto::execute_round(FederatedRun& run, int round,
       run.gather_survivors(live, kTagModelUp);
   agg_span.set_value(static_cast<int64_t>(g.survivors.size()));
   if (g.quorum_met && !g.survivors.empty()) {
-    Tensor agg({num_classes, d});
-    Tensor agg_counts({num_classes});
-    for (const comm::Bytes& payload : g.payloads) {
-      const std::vector<Tensor> up = models::deserialize_tensors(payload);
-      const Tensor& protos = up[0];
-      const Tensor& counts = up[1];
-      for (int64_t cc = 0; cc < num_classes; ++cc) {
-        if (counts[cc] <= 0.0f) continue;
-        for (int64_t j = 0; j < d; ++j) {
-          agg[cc * d + j] += counts[cc] * protos[cc * d + j];
-        }
-        agg_counts[cc] += counts[cc];
-      }
-    }
-    for (int64_t cc = 0; cc < num_classes; ++cc) {
-      if (agg_counts[cc] > 0.0f) {
-        const float inv = 1.0f / agg_counts[cc];
-        for (int64_t j = 0; j < d; ++j) {
-          global_protos_[cc * d + j] = agg[cc * d + j] * inv;
-        }
-        valid_[static_cast<size_t>(cc)] = true;
-      }
-    }
+    merge_prototypes(global_protos_, valid_, g.payloads.size(),
+                     [&](size_t i) {
+                       return models::deserialize_tensors(g.payloads[i]);
+                     });
   }
   return FederatedRun::mean_finite(losses, run.config().local_epochs);
 }

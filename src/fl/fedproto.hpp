@@ -48,8 +48,6 @@ class FedProto : public RoundStrategy {
   /// One local epoch with CE + prototype regularizer; returns mean loss.
   float train_epoch(Client& c, const Tensor& protos,
                     const std::vector<bool>& valid) const;
-  /// Per-class mean features and counts over the client's train shard.
-  static std::pair<Tensor, Tensor> local_prototypes(Client& c);
 
   FedProtoConfig config_;
   Tensor global_protos_;

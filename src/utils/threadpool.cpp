@@ -39,11 +39,12 @@ int ThreadPool::pool_task_depth() { return t_pool_depth; }
 ThreadPool::SerialRegion::SerialRegion() { ++t_task_depth; }
 ThreadPool::SerialRegion::~SerialRegion() { --t_task_depth; }
 
+unsigned ThreadPool::default_workers() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 1 ? hw - 1 : 0;
+}
+
 ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw > 1 ? hw - 1 : 0;
-  }
   workers_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -121,7 +122,7 @@ void ThreadPool::worker_loop() {
 }
 
 ThreadPool& global_pool() {
-  static ThreadPool pool;
+  static ThreadPool pool(ThreadPool::default_workers());
   return pool;
 }
 

@@ -28,15 +28,20 @@ namespace fca {
 /// global_pool()); standalone instances are used in tests.
 class ThreadPool {
  public:
-  /// Creates `threads` workers; 0 means hardware_concurrency - 1.
-  explicit ThreadPool(unsigned threads = 0);
+  /// Creates exactly `threads` workers; 0 is a valid pool whose work runs
+  /// inline in wait_all().
+  explicit ThreadPool(unsigned threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Number of worker threads (may be zero on single-core machines, in which
-  /// case submitted work runs inline in wait_all()).
+  /// Worker count that, with the thread calling wait_all(), fills the host:
+  /// hardware_concurrency - 1 (zero on a single-core host).
+  static unsigned default_workers();
+
+  /// Number of worker threads (zero means submitted work runs inline in
+  /// wait_all()).
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
   /// Enqueues a task. Never blocks. Tasks must not let exceptions escape —
@@ -86,7 +91,8 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Process-wide pool used by parallel_for.
+/// Process-wide pool used by parallel_for, sized
+/// ThreadPool::default_workers().
 ThreadPool& global_pool();
 
 /// Executes fn(i) for every i in [begin, end), potentially in parallel.

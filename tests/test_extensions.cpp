@@ -99,10 +99,13 @@ TEST(FedClassAvgProto, TrafficIsClassifierPlusPrototypes) {
   EXPECT_LT(done.result.client_upload_bytes_per_round, 30000.0);
 }
 
-TEST(FedClassAvgProto, RejectsWeightSharingConfig) {
+TEST(FedClassAvgProto, RejectsWeightSharingAndSimclrConfigs) {
   core::FedClassAvgProtoConfig pcfg;
   pcfg.base.share_all_weights = true;
   EXPECT_THROW(core::FedClassAvgProto{pcfg}, Error);
+  core::FedClassAvgProtoConfig simclr;
+  simclr.base.contrastive_mode = core::ContrastiveMode::kSelfSupervised;
+  EXPECT_THROW(core::FedClassAvgProto{simclr}, Error);
 }
 
 TEST(FedClassAvgProto, SynchronizesClassifiersLikeBase) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "fl_fixtures.hpp"
+#include "fl/aggregate.hpp"
 #include "fl/fedavg.hpp"
 #include "fl/fedprox.hpp"
 #include "fl/fedproto.hpp"
@@ -246,6 +247,96 @@ TEST(Server, CurveRespectsEvalEvery) {
   EXPECT_EQ(done.result.curve[0].round, 2);
   EXPECT_EQ(done.result.curve[1].round, 4);
   EXPECT_EQ(done.result.curve[1].cumulative_local_epochs, 4);
+}
+
+// -- shared aggregation helpers (fl/aggregate.hpp) --------------------------
+
+TEST(Aggregate, WeightedAverageUsesRenormalizedSurvivorWeights) {
+  core::Experiment exp(tiny_experiment_config());
+  FederatedRun run(exp.build_clients(), exp.fl_config());
+  // Clients 0 and 2 dropped out: eq. 1 weights are renormalized over the
+  // two survivors, in proportion to their shard sizes.
+  const std::vector<int> survivors{1, 3};
+  const std::vector<double> w = run.data_weights(survivors);
+  ASSERT_EQ(w.size(), 2u);
+  EXPECT_NEAR(w[0] + w[1], 1.0, 1e-12);
+  const double n1 = static_cast<double>(run.client(1).train_data().size());
+  const double n3 = static_cast<double>(run.client(3).train_data().size());
+  EXPECT_NEAR(w[0], n1 / (n1 + n3), 1e-12);
+  const std::vector<Tensor> avg =
+      weighted_average(w, {{2}, {3}}, [&](size_t i) {
+        const float v = survivors[i] == 1 ? 2.0f : 6.0f;
+        return std::vector<Tensor>{Tensor({2}, v), Tensor({3}, -v)};
+      });
+  ASSERT_EQ(avg.size(), 2u);
+  const float expect =
+      static_cast<float>(w[0]) * 2.0f + static_cast<float>(w[1]) * 6.0f;
+  for (int64_t j = 0; j < 2; ++j) EXPECT_FLOAT_EQ(avg[0][j], expect);
+  for (int64_t j = 0; j < 3; ++j) EXPECT_FLOAT_EQ(avg[1][j], -expect);
+}
+
+TEST(Aggregate, WeightedAverageRejectsMalformedUploads) {
+  const std::vector<double> w{0.5, 0.5};
+  auto uploads = [](std::vector<std::vector<Tensor>> ups) {
+    return [ups](size_t i) { return ups[i]; };
+  };
+  const std::vector<Tensor> good{Tensor({2}), Tensor({3})};
+  // Too few tensors, against an explicit layout and against the layout the
+  // first upload set.
+  EXPECT_THROW(weighted_average(w, {{2}, {3}}, uploads({good, {Tensor({2})}})),
+               Error);
+  EXPECT_THROW(weighted_average(w, {}, uploads({good, {Tensor({2})}})),
+               Error);
+  // Right count, wrong shape.
+  EXPECT_THROW(weighted_average(w, {{2}, {3}},
+                                uploads({good, {Tensor({2}), Tensor({4})}})),
+               Error);
+  EXPECT_NO_THROW(weighted_average(w, {{2}, {3}}, uploads({good, good})));
+}
+
+TEST(Aggregate, DecodeTensorsRejectsShortPayload) {
+  const comm::Bytes one = models::serialize_tensors({Tensor({3, 2})});
+  EXPECT_THROW(decode_tensors(one, {{3, 2}, {3}}), Error);
+  EXPECT_THROW(decode_tensors(one, {{2, 3}}), Error);
+  EXPECT_EQ(decode_tensors(one, {{3, 2}}).size(), 1u);
+}
+
+TEST(Aggregate, MergePrototypesRejectsShortUpload) {
+  Tensor protos({3, 2});
+  std::vector<bool> valid(3, false);
+  EXPECT_THROW(merge_prototypes(protos, valid, 1,
+                                [](size_t) {
+                                  return std::vector<Tensor>{Tensor({3, 2})};
+                                }),
+               Error);
+  EXPECT_THROW(merge_prototypes(protos, valid, 1,
+                                [](size_t) {
+                                  return std::vector<Tensor>{Tensor({3, 2}),
+                                                             Tensor({2})};
+                                }),
+               Error);
+  // A rejected merge leaves the table untouched.
+  EXPECT_EQ(valid, std::vector<bool>(3, false));
+}
+
+TEST(Aggregate, MergePrototypesCountWeightsAndCarriesAbsentClasses) {
+  // Class 2 is counted by no survivor: its row carries over unchanged and
+  // it stays invalid. Classes 0 and 1 get count-weighted means.
+  Tensor protos({3, 2}, {0.0f, 0.0f, 0.0f, 0.0f, 7.0f, 8.0f});
+  std::vector<bool> valid(3, false);
+  const std::vector<std::vector<Tensor>> ups{
+      {Tensor({3, 2}, {1.0f, 2.0f, 5.0f, 5.0f, 9.0f, 9.0f}),
+       Tensor({3}, {2.0f, 1.0f, 0.0f})},
+      {Tensor({3, 2}, {4.0f, 8.0f, 9.0f, 9.0f, 9.0f, 9.0f}),
+       Tensor({3}, {1.0f, 0.0f, 0.0f})}};
+  merge_prototypes(protos, valid, ups.size(), [&](size_t i) { return ups[i]; });
+  EXPECT_FLOAT_EQ(protos[0], (2.0f * 1.0f + 4.0f) / 3.0f);
+  EXPECT_FLOAT_EQ(protos[1], (2.0f * 2.0f + 8.0f) / 3.0f);
+  EXPECT_FLOAT_EQ(protos[2], 5.0f);
+  EXPECT_FLOAT_EQ(protos[3], 5.0f);
+  EXPECT_EQ(protos[4], 7.0f);
+  EXPECT_EQ(protos[5], 8.0f);
+  EXPECT_EQ(valid, (std::vector<bool>{true, true, false}));
 }
 
 }  // namespace
