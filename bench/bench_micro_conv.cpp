@@ -1,6 +1,7 @@
-// Micro ablation: convolution lowering (DESIGN.md §4).
+// Micro ablation: convolution lowering (DESIGN.md §4, §9).
 // Direct convolution vs im2col+GEMM at the layer geometries the model zoo
-// uses, plus the full Conv2d module forward/backward.
+// uses, plus the full Conv2d module forward/backward — for one layer at
+// several batch sizes and for every zoo layer geometry at batch 16.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -9,6 +10,7 @@
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "utils/rng.hpp"
+#include "utils/threadpool.hpp"
 
 namespace {
 
@@ -39,7 +41,7 @@ void BM_ConvLowered(benchmark::State& state) {
   std::vector<float> col(static_cast<size_t>(g.col_rows() * g.col_cols()));
   std::vector<float> out(static_cast<size_t>(oc * g.col_cols()));
   for (auto _ : state) {
-    fca::im2col(im.data(), g, col.data());
+    fca::im2col(im.data(), g, col.data(), g.col_cols());
     fca::sgemm(false, false, oc, g.col_cols(), g.col_rows(), 1.0f, w.data(),
                g.col_rows(), col.data(), g.col_cols(), 0.0f, out.data(),
                g.col_cols());
@@ -74,6 +76,48 @@ void BM_Conv2dForwardBackward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_Conv2dForwardBackward)->Arg(16);
+
+// Production Conv2d forward + backward at batch 16 for the layer geometries
+// of the model zoo (width 8, 12x12 inputs), so per-layer before/after
+// numbers can be taken outside the federated loop. The layer runs inside a
+// ThreadPool::SerialRegion, as it does on a client lane of a federated
+// round. Args: in_c, out_c, kernel, stride, padding, groups, input
+// height/width.
+void BM_Conv2dZooLayer(benchmark::State& state) {
+  const int64_t in_c = state.range(0), out_c = state.range(1);
+  const int64_t k = state.range(2), stride = state.range(3);
+  const int64_t pad = state.range(4), groups = state.range(5);
+  const int64_t hw = state.range(6);
+  constexpr int64_t kBatch = 16;
+  Rng rng(4);
+  fca::nn::Conv2d conv(in_c, out_c, k, stride, pad, rng, /*bias=*/false,
+                       groups);
+  Tensor x = Tensor::randn({kBatch, in_c, hw, hw}, rng);
+  fca::ThreadPool::SerialRegion client_lane;
+  for (auto _ : state) {
+    Tensor y = conv.forward(x, /*train=*/true);
+    Tensor gx = conv.backward(y);
+    benchmark::DoNotOptimize(gx.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_Conv2dZooLayer)
+    ->ArgNames({"in", "out", "k", "s", "p", "g", "hw"})
+    // First layer of every backbone (RGB stem).
+    ->Args({3, 8, 3, 1, 1, 1, 12})
+    // ResNet / GoogLeNet 3x3 bodies at each stage.
+    ->Args({8, 8, 3, 1, 1, 1, 12})
+    ->Args({16, 16, 3, 1, 1, 1, 6})
+    ->Args({32, 32, 3, 1, 1, 1, 3})
+    // 1x1 pointwise (ShuffleNet branches, GoogLeNet reduces, shortcuts).
+    ->Args({8, 8, 1, 1, 0, 1, 6})
+    ->Args({16, 16, 1, 1, 0, 1, 3})
+    ->Args({8, 2, 1, 1, 0, 1, 12})
+    // ShuffleNet depthwise, stride 1 and stride 2.
+    ->Args({8, 8, 3, 1, 1, 8, 6})
+    ->Args({16, 16, 3, 1, 1, 16, 3})
+    ->Args({8, 8, 3, 2, 1, 8, 12})
+    ->Args({16, 16, 3, 2, 1, 16, 6});
 
 }  // namespace
 

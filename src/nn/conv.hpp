@@ -1,5 +1,16 @@
 // 2-D convolution (NCHW) lowered to GEMM via im2col, with grouped /
 // depthwise support (groups == in_channels == out_channels).
+//
+// Both passes walk the batch in fixed 8-sample chunks (the parallel_for
+// unit, and in backward the unit of dW/db partials). Within a chunk, runs of
+// samples are unfolded side by side into one shared column matrix (im2col's
+// row-stride argument) and each group issues one forward, one wgrad and one
+// dgrad GEMM over n = samples * out_h * out_w. Samples per GEMM come from a
+// compile-time column budget divided by the per-sample column size, so they
+// depend on layer shape and batch only and results are bit-identical across
+// pool sizes. Depthwise layers bypass the lowering for direct per-tap loops
+// (depthwise_forward/_dgrad/_wgrad). DESIGN.md §9 gives the accumulation
+// orders.
 #pragma once
 
 #include "nn/module.hpp"

@@ -55,11 +55,12 @@ void set_tracing(bool on);
 void set_kernel_tracing(bool on);
 
 /// True when a kernel span opened on this thread right now would be
-/// deterministic: the kernel flag is on, the thread holds a ContextScope,
-/// and it sits at the context's own pool-task nesting level. Calls made from
-/// inside a parallel_for launch fail the last condition — there, which
-/// thread runs a chunk is scheduling-dependent, so spans are suppressed and
-/// only the enclosing (context-level) kernel span is recorded.
+/// deterministic: the thread holds a ContextScope and sits at the context's
+/// own parallel_for nesting level (parallel_for_depth()). Calls made from
+/// inside any parallel_for body fail the last condition, whether the body
+/// was dispatched to a pool worker or ran inline in a client lane — how a
+/// loop is chunked depends on the pool size — so such spans are suppressed
+/// and only the enclosing (context-level) kernel span is recorded.
 bool kernel_spans_armed();
 
 /// One completed span. cat/name point at string literals (every emission
@@ -102,7 +103,7 @@ class Tracer {
     int32_t round = 0;
     int32_t rank = -1;
     std::atomic<uint64_t>* seq = nullptr;
-    int pool_depth = 0;  // ThreadPool::pool_task_depth() at push time
+    int body_depth = 0;  // parallel_for_depth() at push time
   };
   /// Pushes a (current_round, rank) context on this thread; returns the
   /// previous one for restoration.

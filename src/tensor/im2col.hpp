@@ -1,8 +1,14 @@
 // im2col / col2im for NCHW convolution lowering.
 //
-// Conv2d forward is lowered to a GEMM: the input image is unfolded into a
-// [C*KH*KW, OH*OW] column matrix per sample, multiplied by the [OC, C*KH*KW]
-// weight matrix. col2im is the adjoint used by the backward pass.
+// Conv2d forward is lowered to a GEMM: each input image is unfolded into
+// OH*OW columns of a [C*KH*KW, n] column matrix, which the [OC, C*KH*KW]
+// weight matrix multiplies. The row stride `ld` of the column matrix is an
+// argument so that several samples can be unfolded side by side into one
+// shared matrix (sample j at column offset j*OH*OW, ld = samples*OH*OW) and
+// served by a single GEMM; ld = OH*OW is the one-sample layout. col2im is the
+// adjoint used by the backward pass. Depthwise convolutions (one input
+// channel per output channel) skip the lowering and use the direct
+// per-plane kernels below.
 #pragma once
 
 #include <cstdint>
@@ -27,22 +33,47 @@ struct ConvGeom {
   int64_t col_cols() const { return out_h() * out_w(); }
 };
 
-/// Unfolds one CHW image `im` into `col` with layout [col_rows, col_cols].
-/// Out-of-image taps read zero (implicit padding). The horizontal bounds
-/// checks are hoisted out of the inner loop: interior spans are memcpy'd at
-/// stride 1 and copied branch-free at larger strides.
-void im2col(const float* im, const ConvGeom& g, float* col);
+/// Unfolds one CHW image `im` into the [col_rows, col_cols] block at `col`,
+/// whose rows lie `ld` floats apart (ld >= col_cols; the floats between
+/// col_cols and ld are left untouched). Out-of-image taps read zero
+/// (implicit padding). The horizontal bounds checks are hoisted out of the
+/// inner loop: interior spans are memcpy'd at stride 1 and copied
+/// branch-free at larger strides.
+void im2col(const float* im, const ConvGeom& g, float* col, int64_t ld);
 
-/// Adjoint of im2col: accumulates `col` back into `im` (im must be
-/// zero-initialized by the caller if accumulation from scratch is wanted).
-/// Vectorized like im2col (hoisted horizontal bounds, contiguous accumulate
-/// at stride 1, strided scatter-add tail); byte-equal to col2im_reference
-/// because the per-element accumulation order is preserved.
-void col2im(const float* col, const ConvGeom& g, float* im);
+/// Adjoint of im2col: accumulates the [col_rows, col_cols] block at `col`
+/// (row stride `ld`) back into `im` (im must be zero-initialized by the
+/// caller if accumulation from scratch is wanted). Vectorized like im2col
+/// (hoisted horizontal bounds, contiguous accumulate at stride 1, strided
+/// scatter-add tail); byte-equal to col2im_reference because the
+/// per-element accumulation order is preserved.
+void col2im(const float* col, int64_t ld, const ConvGeom& g, float* im);
 
 /// Scalar per-element-bounds-checked col2im kept as the byte-equality oracle
 /// for the vectorized version (tests/test_im2col.cpp).
-void col2im_reference(const float* col, const ConvGeom& g, float* im);
+void col2im_reference(const float* col, int64_t ld, const ConvGeom& g,
+                      float* im);
+
+/// Direct depthwise kernels: each of the g.channels planes is convolved with
+/// its own filter, w [g.channels, kernel_h * kernel_w] (no im2col, no GEMM).
+/// Every output, input-gradient and weight-gradient element accumulates its
+/// taps in ascending (kh, kw) order, so results are a pure function of the
+/// operands.
+///
+/// depthwise_forward: out [channels, out_h, out_w] of one image = sum of the
+/// taps, starting from zero, then + bias[c] when bias is non-null.
+void depthwise_forward(const float* im, const float* w, const float* bias,
+                       const ConvGeom& g, float* out);
+/// depthwise_dgrad: accumulates the input gradient of one image's
+/// grad_out [channels, out_h, out_w] into grad_im [channels, height, width].
+void depthwise_dgrad(const float* grad_out, const float* w, const ConvGeom& g,
+                     float* grad_im);
+/// depthwise_wgrad: adds to dw[c, tap] the sum of grad_out * input over
+/// `samples` consecutive images (NCHW) for that channel and tap. The terms
+/// are summed into eight column-interleaved float partials (over samples,
+/// rows and columns in ascending order), which are then added in order.
+void depthwise_wgrad(const float* grad_out, const float* im, int64_t samples,
+                     const ConvGeom& g, float* dw);
 
 /// Direct (non-lowered) convolution of one image; correctness oracle for
 /// tests and baseline for the conv ablation bench. weight layout

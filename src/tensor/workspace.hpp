@@ -19,7 +19,10 @@
 // that already holds the im2col buffer) allocates past the outer frame's
 // marks and rewinds without disturbing them. Chunks are never freed or
 // reallocated while in use, so outstanding pointers remain valid even when
-// a nested alloc() forces the arena to grow a fresh chunk.
+// a nested alloc() forces the arena to grow a fresh chunk. When the
+// outermost frame rewinds (nothing live) and growth has left more than one
+// chunk, they are replaced by a single chunk sized to the high-water mark,
+// so the arena converges to one chunk instead of keeping every outgrown one.
 //
 // Thread affinity: tls() returns this thread's arena. Pool workers are
 // long-lived (utils/threadpool.hpp), so per-lane buffers are allocated once
@@ -72,15 +75,20 @@ class Workspace {
   size_t capacity_floats() const;
   /// Number of chunk allocations ever made by this arena.
   uint64_t chunks_created() const { return chunks_created_; }
+  /// Most floats ever live at once, laid out as in a single chunk (aligned
+  /// request starts). The outermost rewind coalesces to this.
+  size_t high_water_floats() const { return high_water_; }
 
  private:
   friend class Frame;
 
-  struct AlignedDelete {
+  /// Unmaps a chunk; carries the mapping's length.
+  struct Unmap {
+    size_t bytes = 0;
     void operator()(float* p) const;
   };
   struct Chunk {
-    std::unique_ptr<float[], AlignedDelete> data;
+    std::unique_ptr<float[], Unmap> data;
     size_t cap = 0;   // floats
     size_t used = 0;  // floats, bump offset
   };
@@ -88,10 +96,13 @@ class Workspace {
   Frame::Mark mark() const;
   void rewind(const Frame::Mark& m);
   float* alloc(int64_t n);
+  /// Appends an empty chunk of at least `floats` capacity.
+  void add_chunk(size_t floats);
 
   std::vector<Chunk> chunks_;
   size_t cur_ = 0;  // chunk currently being bumped
   uint64_t chunks_created_ = 0;
+  size_t high_water_ = 0;  // floats, see high_water_floats()
 };
 
 }  // namespace fca

@@ -13,28 +13,37 @@ namespace {
 /// matter which pool scheduled the enclosing task.
 thread_local int t_task_depth = 0;
 
-/// Like t_task_depth but counting only real pool-task bodies, not
-/// SerialRegions — the discriminator behind ThreadPool::pool_task_depth().
-thread_local int t_pool_depth = 0;
+/// Number of parallel_for bodies the current thread is logically inside,
+/// whether the body was dispatched to a pool worker or run inline — the
+/// discriminator behind parallel_for_depth().
+thread_local int t_body_depth = 0;
 
 /// RAII depth bump around a task body; exception-safe so accounting survives
 /// a throwing task (parallel_for wrappers catch, but keep this robust).
 struct TaskDepthScope {
-  TaskDepthScope() {
-    ++t_task_depth;
-    ++t_pool_depth;
-  }
-  ~TaskDepthScope() {
-    --t_task_depth;
-    --t_pool_depth;
-  }
+  TaskDepthScope() { ++t_task_depth; }
+  ~TaskDepthScope() { --t_task_depth; }
 };
+
+/// Runs one parallel_for body at logical depth `depth` (the issuing
+/// thread's depth + 1), restoring the running thread's own depth after. A
+/// chunk run by a pool worker and the same chunk run inline on the issuing
+/// thread therefore report the same depth.
+void run_body(const std::function<void(int64_t, int64_t)>& fn, int64_t lo,
+              int64_t hi, int depth) {
+  struct Scope {
+    int saved = t_body_depth;
+    explicit Scope(int d) { t_body_depth = d; }
+    ~Scope() { t_body_depth = saved; }
+  } scope(depth);
+  fn(lo, hi);
+}
 
 }  // namespace
 
 bool ThreadPool::in_task() { return t_task_depth > 0; }
 
-int ThreadPool::pool_task_depth() { return t_pool_depth; }
+int parallel_for_depth() { return t_body_depth; }
 
 ThreadPool::SerialRegion::SerialRegion() { ++t_task_depth; }
 ThreadPool::SerialRegion::~SerialRegion() { --t_task_depth; }
@@ -134,14 +143,15 @@ void parallel_for_range(int64_t begin, int64_t end,
   const int64_t n = end - begin;
   // Nested invocation (from a pool task or a SerialRegion) runs serially:
   // re-submitting would let wait_all() block on the enclosing task itself.
+  const int depth = t_body_depth + 1;
   if (ThreadPool::in_task()) {
-    fn(begin, end);
+    run_body(fn, begin, end, depth);
     return;
   }
   ThreadPool& pool = global_pool();
   const int64_t max_tasks = static_cast<int64_t>(pool.size()) + 1;
   if (n <= grain || max_tasks <= 1) {
-    fn(begin, end);
+    run_body(fn, begin, end, depth);
     return;
   }
   const int64_t chunks = std::min(max_tasks * 4, (n + grain - 1) / grain);
@@ -153,9 +163,9 @@ void parallel_for_range(int64_t begin, int64_t end,
   int64_t first_err_lo = end;
   for (int64_t lo = begin; lo < end; lo += step) {
     const int64_t hi = std::min(lo + step, end);
-    pool.submit([&fn, &err_mu, &first_err, &first_err_lo, lo, hi] {
+    pool.submit([&fn, &err_mu, &first_err, &first_err_lo, lo, hi, depth] {
       try {
-        fn(lo, hi);
+        run_body(fn, lo, hi, depth);
       } catch (...) {
         std::lock_guard lk(err_mu);
         if (!first_err || lo < first_err_lo) {

@@ -58,13 +58,6 @@ class ThreadPool {
   /// loop instead of nesting, which would deadlock wait_all().
   static bool in_task();
 
-  /// Number of actual pool-task bodies the calling thread is nested inside
-  /// (SerialRegions do NOT count, unlike in_task()). Observability uses this
-  /// to tell "on the thread that owns this work" apart from "inside a
-  /// parallel kernel launch", where span emission would be
-  /// scheduling-dependent.
-  static int pool_task_depth();
-
   /// RAII marker that makes the current thread behave as if it were inside a
   /// pool task: nested parallel_for calls run serially until the region is
   /// exited. RoundExecutor wraps client bodies in one of these on every lane
@@ -110,5 +103,13 @@ void parallel_for(int64_t begin, int64_t end,
 void parallel_for_range(int64_t begin, int64_t end,
                         const std::function<void(int64_t, int64_t)>& fn,
                         int64_t grain = 256);
+
+/// Number of parallel_for / parallel_for_range bodies the calling thread is
+/// logically nested inside. Every body counts — dispatched to a pool worker,
+/// run inline because the loop was too small or the pool empty, or run
+/// serially because the caller was already inside a task or SerialRegion —
+/// so the value depends on the program's loop nesting only, never on which
+/// thread ran the body. Observability gates kernel spans on it (DESIGN.md §8).
+int parallel_for_depth();
 
 }  // namespace fca

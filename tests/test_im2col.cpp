@@ -36,7 +36,7 @@ TEST(Im2col, IdentityKernelCopiesImage) {
   Rng rng(1);
   std::vector<float> im = random_vec(2 * 9, rng);
   std::vector<float> col(static_cast<size_t>(g.col_rows() * g.col_cols()));
-  im2col(im.data(), g, col.data());
+  im2col(im.data(), g, col.data(), g.col_cols());
   for (size_t i = 0; i < im.size(); ++i) EXPECT_EQ(col[i], im[i]);
 }
 
@@ -44,7 +44,7 @@ TEST(Im2col, PaddingReadsZero) {
   ConvGeom g{1, 2, 2, 3, 3, 1, 1, 1, 1};
   std::vector<float> im{1, 2, 3, 4};
   std::vector<float> col(static_cast<size_t>(g.col_rows() * g.col_cols()));
-  im2col(im.data(), g, col.data());
+  im2col(im.data(), g, col.data(), g.col_cols());
   // First row of the col matrix corresponds to kernel tap (0,0); at output
   // (0,0) this tap reads input (-1,-1) = padding = 0.
   EXPECT_EQ(col[0], 0.0f);
@@ -60,11 +60,11 @@ TEST(Im2col, Col2imIsAdjoint) {
   std::vector<float> x = random_vec(im_size, rng);
   std::vector<float> y = random_vec(col_size, rng);
   std::vector<float> col(col_size, 0.0f);
-  im2col(x.data(), g, col.data());
+  im2col(x.data(), g, col.data(), g.col_cols());
   double lhs = 0.0;
   for (size_t i = 0; i < col_size; ++i) lhs += static_cast<double>(col[i]) * y[i];
   std::vector<float> back(im_size, 0.0f);
-  col2im(y.data(), g, back.data());
+  col2im(y.data(), g.col_cols(), g, back.data());
   double rhs = 0.0;
   for (size_t i = 0; i < im_size; ++i) rhs += static_cast<double>(x[i]) * back[i];
   EXPECT_NEAR(lhs, rhs, 1e-3);
@@ -88,20 +88,27 @@ TEST_P(Col2imParityTest, VectorizedByteEqualToScalarReference) {
   ASSERT_GT(g.out_h(), 0);
   ASSERT_GT(g.out_w(), 0);
   Rng rng(31);
-  const size_t col_size = static_cast<size_t>(g.col_rows() * g.col_cols());
+  const int64_t cols = g.col_cols();
   const size_t im_size = static_cast<size_t>(p.c * p.h * p.w);
-  const std::vector<float> col = random_vec(col_size, rng);
-  // Accumulate into a non-zero image: col2im adds, and the starting bytes
-  // must flow through both implementations identically.
-  const std::vector<float> start = random_vec(im_size, rng);
-  std::vector<float> vec_im = start;
-  std::vector<float> ref_im = start;
-  col2im(col.data(), g, vec_im.data());
-  col2im_reference(col.data(), g, ref_im.data());
-  ASSERT_EQ(0, std::memcmp(vec_im.data(), ref_im.data(),
-                           im_size * sizeof(float)))
-      << "c=" << p.c << " h=" << p.h << " w=" << p.w << " k=" << p.k
-      << " stride=" << p.stride << " pad=" << p.pad;
+  // ld == cols is the one-sample layout; ld == 3 * cols + 5 reads this
+  // sample as the middle block of a shared multi-sample column matrix
+  // (plus a ragged tail), as Conv2d's chunk-batched backward does.
+  for (const int64_t ld : {cols, 3 * cols + 5}) {
+    const std::vector<float> col =
+        random_vec(static_cast<size_t>(g.col_rows() * ld), rng);
+    const float* block = ld == cols ? col.data() : col.data() + cols;
+    // Accumulate into a non-zero image: col2im adds, and the starting bytes
+    // must flow through both implementations identically.
+    const std::vector<float> start = random_vec(im_size, rng);
+    std::vector<float> vec_im = start;
+    std::vector<float> ref_im = start;
+    col2im(block, ld, g, vec_im.data());
+    col2im_reference(block, ld, g, ref_im.data());
+    ASSERT_EQ(0, std::memcmp(vec_im.data(), ref_im.data(),
+                             im_size * sizeof(float)))
+        << "c=" << p.c << " h=" << p.h << " w=" << p.w << " k=" << p.k
+        << " stride=" << p.stride << " pad=" << p.pad << " ld=" << ld;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -142,32 +149,47 @@ TEST(Col2im, OverlappingAccumulationOrderIsAscendingKernelTap) {
   }
   std::vector<float> vec_im(4, 0.0f);
   std::vector<float> ref_im(4, 0.0f);
-  col2im(col.data(), g, vec_im.data());
-  col2im_reference(col.data(), g, ref_im.data());
+  col2im(col.data(), g.col_cols(), g, vec_im.data());
+  col2im_reference(col.data(), g.col_cols(), g, ref_im.data());
   EXPECT_EQ(0, std::memcmp(vec_im.data(), ref_im.data(), 4 * sizeof(float)));
   // Image (0,0) is read by all four taps exactly once: 1 + 10 + 100 + 1000.
   EXPECT_EQ(vec_im[0], 1111.0f);
 }
 
 TEST(Col2im, AdjointHoldsForStridedAndPaddedGeometries) {
-  // <im2col(x), y> == <x, col2im(y)> on the scatter-add tail geometry too.
+  // <im2col(x), y> == <x, col2im(y)> on the scatter-add tail geometry too,
+  // both in the one-sample layout and as one block of a wider shared column
+  // matrix (row stride ld > out_h * out_w), whose other columns im2col must
+  // leave untouched.
   ConvGeom g{2, 9, 7, 5, 5, 3, 3, 2, 2};
   Rng rng(8);
   const size_t im_size = static_cast<size_t>(2 * 9 * 7);
-  const size_t col_size = static_cast<size_t>(g.col_rows() * g.col_cols());
-  std::vector<float> x = random_vec(im_size, rng);
-  std::vector<float> y = random_vec(col_size, rng);
-  std::vector<float> col(col_size, 0.0f);
-  im2col(x.data(), g, col.data());
-  double lhs = 0.0;
-  for (size_t i = 0; i < col_size; ++i)
-    lhs += static_cast<double>(col[i]) * y[i];
-  std::vector<float> back(im_size, 0.0f);
-  col2im(y.data(), g, back.data());
-  double rhs = 0.0;
-  for (size_t i = 0; i < im_size; ++i)
-    rhs += static_cast<double>(x[i]) * back[i];
-  EXPECT_NEAR(lhs, rhs, 1e-3);
+  const int64_t rows = g.col_rows(), cols = g.col_cols();
+  for (const int64_t ld : {cols, 2 * cols + 3}) {
+    const int64_t offset = ld - cols;  // the block sits at the row end
+    std::vector<float> x = random_vec(im_size, rng);
+    std::vector<float> y = random_vec(static_cast<size_t>(rows * ld), rng);
+    constexpr float kSentinel = -12345.0f;
+    std::vector<float> col(static_cast<size_t>(rows * ld), kSentinel);
+    im2col(x.data(), g, col.data() + offset, ld);
+    double lhs = 0.0;
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t j = 0; j < ld; ++j) {
+        const size_t at = static_cast<size_t>(r * ld + j);
+        if (j < offset) {
+          ASSERT_EQ(col[at], kSentinel) << "im2col wrote outside its block";
+          continue;
+        }
+        lhs += static_cast<double>(col[at]) * y[at];
+      }
+    }
+    std::vector<float> back(im_size, 0.0f);
+    col2im(y.data() + offset, ld, g, back.data());
+    double rhs = 0.0;
+    for (size_t i = 0; i < im_size; ++i)
+      rhs += static_cast<double>(x[i]) * back[i];
+    EXPECT_NEAR(lhs, rhs, 1e-3) << "ld=" << ld;
+  }
 }
 
 struct ConvCase {
@@ -189,7 +211,7 @@ TEST_P(ConvLoweringTest, GemmLoweringMatchesDirectConvolution) {
   conv2d_direct(im.data(), weight.data(), p.oc, g, direct.data());
 
   std::vector<float> col(static_cast<size_t>(g.col_rows() * g.col_cols()));
-  im2col(im.data(), g, col.data());
+  im2col(im.data(), g, col.data(), g.col_cols());
   std::vector<float> lowered(direct.size(), 0.0f);
   sgemm(false, false, p.oc, g.col_cols(), g.col_rows(), 1.0f, weight.data(),
         g.col_rows(), col.data(), g.col_cols(), 0.0f, lowered.data(),

@@ -354,6 +354,37 @@ TEST(WorkspaceArena, GrowthInsideANestedFrameKeepsParentPointersValid) {
   EXPECT_EQ(small[0], 42.0f);
 }
 
+TEST(WorkspaceArena, OutermostRewindCoalescesToHighWater) {
+  // A private arena, so no other test's high-water mark leaks in. Every
+  // request below outgrows the chunk it would land in, leaving a ladder of
+  // four chunks; the outermost rewind must replace them with one chunk of
+  // the high-water mark (100k outer + 700k after the inner frames rewound).
+  Workspace ws;
+  const auto growing_requests = [&ws] {
+    Workspace::Frame outer(ws);
+    float* first = outer.alloc(100000);
+    first[0] = 3.0f;
+    {
+      Workspace::Frame inner(ws);
+      inner.alloc(300000)[0] = 1.0f;
+      Workspace::Frame deeper(ws);
+      deeper.alloc(50000)[0] = 2.0f;
+    }
+    float* last = outer.alloc(700000);
+    last[699999] = 4.0f;
+    EXPECT_EQ(first[0], 3.0f);
+  };
+  growing_requests();
+  EXPECT_EQ(ws.chunks_created(), 5u) << "four ladder chunks + one coalesced";
+  EXPECT_EQ(ws.high_water_floats(), 800000u);
+  EXPECT_EQ(ws.capacity_floats(), 800000u)
+      << "capacity must collapse to the (aligned) high-water mark";
+  for (int rep = 0; rep < 5; ++rep) growing_requests();
+  EXPECT_EQ(ws.chunks_created(), 5u)
+      << "steady-state replays must fit the coalesced chunk";
+  EXPECT_EQ(ws.capacity_floats(), 800000u);
+}
+
 TEST(WorkspaceArena, GemmOutputInArenaDoesNotAliasPackingBuffers) {
   // Conv2d::backward writes GEMM output into an arena buffer (dcol) while
   // sgemm_packed packs A/B into nested frames of the same arena: the output

@@ -129,6 +129,64 @@ TEST(ThreadPool, SerialRegionForcesSerialParallelFor) {
   EXPECT_FALSE(ThreadPool::in_task());
 }
 
+TEST(ParallelFor, DepthCountsLogicalNestingOnAnyThread) {
+  // parallel_for_depth() must depend on loop nesting only: bodies see 1 and
+  // bodies of a nested loop 2, whether the global pool ran them or the
+  // caller did (dispatched, or inline under a SerialRegion), and the depth
+  // unwinds to 0 afterwards on every thread.
+  EXPECT_EQ(parallel_for_depth(), 0);
+  const auto check = [] {
+    std::atomic<int> wrong{0};
+    parallel_for(
+        0, 64,
+        [&](int64_t) {
+          if (parallel_for_depth() != 1) wrong.fetch_add(1);
+          parallel_for(
+              0, 4,
+              [&](int64_t) {
+                if (parallel_for_depth() != 2) wrong.fetch_add(1);
+              },
+              /*grain=*/1);
+          if (parallel_for_depth() != 1) wrong.fetch_add(1);
+        },
+        /*grain=*/1);
+    return wrong.load();
+  };
+  EXPECT_EQ(check(), 0);
+  {
+    ThreadPool::SerialRegion region;
+    EXPECT_EQ(check(), 0);
+  }
+  // A one-index loop runs its body inline on this (non-task) thread, so the
+  // nested loop is dispatched: pool workers must still report depth 2.
+  std::atomic<int> wrong{0};
+  parallel_for(
+      0, 1,
+      [&](int64_t) {
+        parallel_for(
+            0, 64,
+            [&](int64_t) {
+              if (parallel_for_depth() != 2) wrong.fetch_add(1);
+            },
+            /*grain=*/1);
+      },
+      /*grain=*/1);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(parallel_for_depth(), 0);
+  std::atomic<int> leaked{0};
+  parallel_for(
+      0, 64,
+      [&](int64_t) {
+        ThreadPool pool(0);
+        pool.submit([&] {
+          if (parallel_for_depth() != 1) leaked.fetch_add(1);
+        });
+        pool.wait_all();
+      },
+      /*grain=*/1);
+  EXPECT_EQ(leaked.load(), 0);
+}
+
 TEST(ThreadPool, DeeplyNestedSubmitsFromWorkersComplete) {
   // Tasks that submit further tasks (fan-out from inside workers) must all
   // run; wait_all() observes in-flight work transitively.
