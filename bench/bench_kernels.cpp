@@ -1,6 +1,6 @@
 // Kernel regression bench: GFLOP/s per GEMM kernel per shape, written to
-// BENCH_kernels.json so CI can track the packed kernel against the blocked
-// and naive baselines over time (DESIGN.md §9).
+// BENCH_kernels.json so CI can track the packed kernel against the naive
+// reference over time (DESIGN.md §9).
 //
 // The shape list is not synthetic: each conv entry is the (m, n, k) the
 // im2col lowering actually produces for a layer of the paper's model zoo at
@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -57,11 +58,6 @@ void run_naive(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
                float* c) {
   fca::sgemm_naive(false, false, m, n, k, 1.0f, a, k, b, n, 0.0f, c, n);
 }
-void run_blocked(int64_t m, int64_t n, int64_t k, const float* a,
-                 const float* b, float* c) {
-  fca::sgemm_blocked(false, false, m, n, k, 1.0f, a, k, b, n, 0.0f, c, n,
-                     fca::GemmBlocking{});
-}
 void run_packed(int64_t m, int64_t n, int64_t k, const float* a,
                 const float* b, float* c) {
   fca::sgemm_packed(false, false, m, n, k, 1.0f, a, k, b, n, 0.0f, c, n);
@@ -74,7 +70,6 @@ struct KernelEntry {
 
 const KernelEntry kKernels[] = {
     {"naive", run_naive},
-    {"blocked", run_blocked},
     {"packed", run_packed},
 };
 
@@ -138,13 +133,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Per-shape packed/blocked speedup summary (the regression headline).
-  std::printf("\n%-20s %10s\n", "shape", "packed/blocked");
-  for (size_t i = 0; i + 2 < results.size(); i += 3) {
-    const Measurement& blocked = results[i + 1];
-    const Measurement& packed = results[i + 2];
-    std::printf("%-20s %9.2fx\n", blocked.shape->name,
-                blocked.gflops > 0.0 ? packed.gflops / blocked.gflops : 0.0);
+  // Per-shape packed/naive speedup summary (the regression headline). Rows
+  // are matched by shape and kernel name, never by position in `results`.
+  auto gflops_of = [&](const ShapeCase& sc, const char* kernel) {
+    for (const Measurement& m : results) {
+      if (m.shape == &sc && std::strcmp(m.kernel, kernel) == 0) {
+        return m.gflops;
+      }
+    }
+    return 0.0;
+  };
+  std::printf("\n%-20s %10s\n", "shape", "packed/naive");
+  for (const ShapeCase& sc : kShapes) {
+    const double naive = gflops_of(sc, "naive");
+    const double packed = gflops_of(sc, "packed");
+    std::printf("%-20s %9.2fx\n", sc.name,
+                naive > 0.0 ? packed / naive : 0.0);
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");

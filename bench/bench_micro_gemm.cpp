@@ -1,7 +1,7 @@
 // Micro ablation: GEMM kernel design (DESIGN.md §4).
-// Compares the naive triple loop against the packed/blocked kernel across
-// the matrix shapes the conv lowering actually produces, and sweeps block
-// sizes to justify the defaults.
+// Compares the naive triple loop against the sgemm dispatcher (the packed
+// kernel by default) across square sizes and the matrix shape the conv
+// lowering actually produces.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -11,7 +11,6 @@
 
 namespace {
 
-using fca::GemmBlocking;
 using fca::Rng;
 
 std::vector<float> random_matrix(int64_t n, uint64_t seed) {
@@ -35,7 +34,7 @@ void BM_GemmNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNaive)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_GemmBlocked(benchmark::State& state) {
+void BM_GemmDispatch(benchmark::State& state) {
   const int64_t n = state.range(0);
   const auto a = random_matrix(n * n, 1);
   const auto b = random_matrix(n * n, 2);
@@ -47,25 +46,7 @@ void BM_GemmBlocked(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_GemmBlocked)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_GemmBlockingSweep(benchmark::State& state) {
-  const int64_t n = 128;
-  const GemmBlocking blk{state.range(0), state.range(1), state.range(2)};
-  const auto a = random_matrix(n * n, 1);
-  const auto b = random_matrix(n * n, 2);
-  std::vector<float> c(static_cast<size_t>(n * n), 0.0f);
-  for (auto _ : state) {
-    fca::sgemm_blocked(false, false, n, n, n, 1.0f, a.data(), n, b.data(), n,
-                       0.0f, c.data(), n, blk);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_GemmBlockingSweep)
-    ->Args({16, 64, 32})
-    ->Args({64, 256, 128})  // the library default
-    ->Args({128, 512, 256});
+BENCHMARK(BM_GemmDispatch)->Arg(64)->Arg(128)->Arg(256);
 
 // The conv-lowering shape: tall-skinny weight x wide col matrix.
 void BM_GemmConvShape(benchmark::State& state) {

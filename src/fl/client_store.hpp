@@ -3,7 +3,8 @@
 // A ClientStore owns the run's client population behind one of two backings:
 //
 //  * resident: a prebuilt vector of clients, all in memory for the whole run
-//    (the historical behavior; what FederatedRun's vector constructor wraps).
+//    (the historical behavior; what Experiment::build_store() builds when no
+//    residency budget or lazy init is configured).
 //  * lazy: a population size plus a deterministic factory. Clients are
 //    materialized on first use; under a --max-resident-clients budget, idle
 //    clients are paged to disk (LRU) through the checkpoint container format

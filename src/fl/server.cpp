@@ -70,10 +70,6 @@ void RoundStrategy::bootstrap_client(FederatedRun& run, Client& client,
                             << payload.size() << " payload bytes");
 }
 
-FederatedRun::FederatedRun(std::vector<ClientPtr> clients, FLConfig config)
-    : FederatedRun(std::make_unique<ClientStore>(std::move(clients)),
-                   std::move(config)) {}
-
 FederatedRun::FederatedRun(std::unique_ptr<ClientStore> store,
                            FLConfig config)
     : store_(std::move(store)), config_(config) {

@@ -191,13 +191,11 @@ class RoundHookChain : public RoundHook {
 
 class FederatedRun {
  public:
-  /// Store-backed construction: the run drives whatever population the
-  /// store exposes; under a paged store the resident set stays within the
-  /// store's budget for the whole run.
+  /// The run drives whatever population the store exposes; under a paged
+  /// store the resident set stays within the store's budget for the whole
+  /// run. For an all-resident run over prebuilt clients, pass
+  /// std::make_unique<ClientStore>(std::move(clients)).
   FederatedRun(std::unique_ptr<ClientStore> store, FLConfig config);
-  /// Historical all-resident construction; wraps the vector in a resident
-  /// ClientStore.
-  FederatedRun(std::vector<ClientPtr> clients, FLConfig config);
 
   /// Runs the federated protocol and returns the metric record.
   ///

@@ -13,7 +13,7 @@
 // whatever SIMD width it targets, while the MR×NR accumulator block stays in
 // registers for the whole kb depth. That register reuse — C is loaded and
 // stored once per k-panel instead of once per k step — is where the speedup
-// over sgemm_blocked comes from; see bench_kernels / BENCH_kernels.json.
+// over sgemm_naive comes from; see bench_kernels / BENCH_kernels.json.
 // The kernel is additionally compiled as GCC function-multiversioning clones
 // (target_clones, still no intrinsics): the dynamic loader picks the
 // x86-64-v3 clone (AVX2 + FMA, 8-wide) on CPUs that have it and the baseline
@@ -199,9 +199,9 @@ void smallk_row_update(int64_t n, int64_t k, const float* av, const float* b,
 // col_rows with m = out_channels_per_group — packing the 72x1024 column
 // matrix to produce an 8x72 result). Such calls take the streaming path
 // below: only op(B) (the small side, n*k elements) is transposed into a
-// contiguous panel, A rows are streamed unpacked, and each 12x8 (n <= 8) or
-// 6x16 register tile accumulates the FULL depth in ascending-k order before
-// one write to C.
+// contiguous panel, A rows are streamed unpacked, and each 6x8 (paired-depth,
+// n <= 8) or 6x16 register tile accumulates the FULL depth in a fixed k order
+// before one write to C.
 constexpr int64_t kSmallNMax = 16;
 
 /// One register-tile block of the small-n path: acc rows over the whole
@@ -250,8 +250,8 @@ __attribute__((always_inline)) inline void smalln_block(
 /// lanes 0..7 accumulate even-k products, lanes 8..15 odd-k products, and
 /// the two partial sums are folded into the 8-wide result at the end. The
 /// bt panel needs no re-layout — rows p and p+1 of the 8-wide panel read as
-/// one 16-float vector. Halves the loads per multiply-add of the plain 12x8
-/// tile (the strided broadcast streams were its bottleneck). Per-element
+/// one 16-float vector. Halves the loads per multiply-add of a plain 8-wide
+/// tile (the strided broadcast streams are its bottleneck). Per-element
 /// summation order: ascending k within each parity class, one even+odd fold,
 /// then the odd-k tail element — fixed per shape, so still rerun- and
 /// pool-size-invariant, and covered by the order-agnostic parity bound.
@@ -306,12 +306,6 @@ __attribute__((always_inline)) inline void smalln_block_pairk(
 }
 
 // target_clones dispatch wrappers (the attribute cannot go on a template).
-FCA_MICROKERNEL_CLONES
-void smalln_block8(int64_t k, int64_t mr, const float* a, int64_t row_stride,
-                   int64_t depth_stride, const float* bt, float* acc_out) {
-  smalln_block<8, 12>(k, mr, a, row_stride, depth_stride, bt, acc_out);
-}
-
 FCA_MICROKERNEL_CLONES
 void smalln_block8_pairk(int64_t k, int64_t mr, const float* a,
                          int64_t row_stride, const float* bt, float* acc_out) {
@@ -563,12 +557,11 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   // Each register tile holds its C rows across the FULL depth, so C is
   // written exactly once and there is no per-KC-panel traffic at all.
   if (n <= kSmallNMax && trans_b) {
-    const int64_t w = n <= 8 ? 8 : 16;  // padded panel width
-    // The paired-depth 8-wide kernel needs the streamed rows contiguous in k
-    // (depth stride 1) and blocks 6 rows at a time; the plain 12x8 tile
-    // covers the strided-depth case.
-    const bool pairk = w == 8 && !trans_a;
-    const int64_t mrb = w == 16 || pairk ? 6 : 12;  // rows per register tile
+    // Padded panel width. The paired-depth 8-wide kernel needs the streamed
+    // rows contiguous in k (depth stride 1, i.e. !trans_a); a strided-depth
+    // call takes the 16-wide tile even for n <= 8.
+    const int64_t w = n <= 8 && !trans_a ? 8 : 16;
+    const int64_t mrb = 6;  // rows per register tile
     Workspace::Frame bt_frame(Workspace::tls());
     float* bt = bt_frame.alloc(k * w);
     // bt[p * w + j] = alpha * op(B)(p, j) = alpha * B[j][p]. Folding alpha
@@ -588,16 +581,12 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     parallel_for_range(
         0, m,
         [&](int64_t lo, int64_t hi) {
-          float acc[12 * 8];  // max(12*8, 6*16)
+          float acc[6 * 16];
           for (int64_t i0 = lo; i0 < hi; i0 += mrb) {
             const int64_t mr = std::min(mrb, hi - i0);
             const float* abase = a + (trans_a ? i0 : i0 * lda);
             if (w == 8) {
-              if (pairk) {
-                smalln_block8_pairk(k, mr, abase, row_stride, bt, acc);
-              } else {
-                smalln_block8(k, mr, abase, row_stride, depth_stride, bt, acc);
-              }
+              smalln_block8_pairk(k, mr, abase, row_stride, bt, acc);
             } else {
               smalln_block16(k, mr, abase, row_stride, depth_stride, bt, acc);
             }
@@ -666,7 +655,7 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     parallel_for_range(
         0, n,
         [&](int64_t lo, int64_t hi) {
-          float acc[12 * 8];  // max(12*8, 6*16)
+          float acc[6 * 16];
           for (int64_t j0 = lo; j0 < hi; j0 += mrb) {
             const int64_t jr = std::min(mrb, hi - j0);
             const float* bbase = b + (trans_b ? j0 * ldb : j0);

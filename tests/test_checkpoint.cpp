@@ -258,7 +258,7 @@ TEST(CheckpointResume, CorruptNewestFallsBackToPreviousCheckpoint) {
 
   core::Experiment second_exp(resume_test_config(7));
   core::FedClassAvg second(second_exp.fedclassavg_config());
-  auto run = std::make_unique<fl::FederatedRun>(second_exp.build_clients(),
+  auto run = std::make_unique<fl::FederatedRun>(second_exp.build_store(),
                                                 second_exp.fl_config());
   ckpt::CheckpointManager manager(opts);
   const fl::ResumeState cursor = manager.resume(*run, second);

@@ -110,7 +110,7 @@ TEST(FedClassAvgProto, RejectsWeightSharingAndSimclrConfigs) {
 
 TEST(FedClassAvgProto, SynchronizesClassifiersLikeBase) {
   core::Experiment exp(tiny_experiment_config());
-  auto run = std::make_unique<fl::FederatedRun>(exp.build_clients(),
+  auto run = std::make_unique<fl::FederatedRun>(exp.build_store(),
                                                 exp.fl_config());
   core::FedClassAvgProto strat;
   strat.initialize(*run);

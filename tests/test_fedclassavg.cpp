@@ -52,7 +52,7 @@ TEST(FedClassAvg, NameReflectsAblationFlags) {
 
 TEST(FedClassAvg, InitializeUnifiesClassifiersAcrossHeterogeneousModels) {
   core::Experiment exp(tiny_experiment_config());
-  auto run = std::make_unique<fl::FederatedRun>(exp.build_clients(),
+  auto run = std::make_unique<fl::FederatedRun>(exp.build_store(),
                                                 exp.fl_config());
   FedClassAvg strat{FedClassAvgConfig{}};
   strat.initialize(*run);
@@ -69,7 +69,7 @@ TEST(FedClassAvg, InitializeUnifiesClassifiersAcrossHeterogeneousModels) {
 
 TEST(FedClassAvg, RoundEndsWithAveragedClassifierBroadcastNextRound) {
   core::Experiment exp(tiny_experiment_config());
-  auto run = std::make_unique<fl::FederatedRun>(exp.build_clients(),
+  auto run = std::make_unique<fl::FederatedRun>(exp.build_store(),
                                                 exp.fl_config());
   FedClassAvg strat{FedClassAvgConfig{}};
   strat.initialize(*run);
@@ -132,7 +132,7 @@ TEST(FedClassAvg, ProximalTermLimitsClassifierDrift) {
 
 TEST(FedClassAvg, RejectsUninitializedRound) {
   core::Experiment exp(tiny_experiment_config());
-  auto run = std::make_unique<fl::FederatedRun>(exp.build_clients(),
+  auto run = std::make_unique<fl::FederatedRun>(exp.build_store(),
                                                 exp.fl_config());
   FedClassAvg strat{FedClassAvgConfig{}};
   EXPECT_THROW(strat.execute_round(*run, 1, {0}), Error);
@@ -142,7 +142,7 @@ TEST(FedClassAvg, WeightVariantSynchronizesFullModel) {
   core::ExperimentConfig cfg = tiny_experiment_config();
   cfg.models = core::ModelScheme::kHomogeneousResNet;
   core::Experiment exp(cfg);
-  auto run = std::make_unique<fl::FederatedRun>(exp.build_clients(),
+  auto run = std::make_unique<fl::FederatedRun>(exp.build_store(),
                                                 exp.fl_config());
   FedClassAvgConfig fcfg;
   fcfg.share_all_weights = true;

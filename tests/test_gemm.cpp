@@ -25,7 +25,7 @@ std::vector<float> random_matrix(int64_t rows, int64_t cols, Rng& rng) {
   return v;
 }
 
-TEST_P(GemmParamTest, BlockedMatchesNaive) {
+TEST_P(GemmParamTest, SgemmMatchesNaive) {
   const GemmCase c = GetParam();
   Rng rng(c.m * 131 + c.n * 17 + c.k + (c.ta ? 1 : 0) + (c.tb ? 2 : 0));
   // Stored dimensions depend on the transpose flags.
@@ -36,15 +36,15 @@ TEST_P(GemmParamTest, BlockedMatchesNaive) {
   const std::vector<float> a = random_matrix(a_rows, a_cols, rng);
   const std::vector<float> b = random_matrix(b_rows, b_cols, rng);
   std::vector<float> c_ref = random_matrix(c.m, c.n, rng);
-  std::vector<float> c_blk = c_ref;  // same beta source
+  std::vector<float> c_got = c_ref;  // same beta source
 
   const float alpha = 0.7f, beta = 0.3f;
   sgemm_naive(c.ta, c.tb, c.m, c.n, c.k, alpha, a.data(), a_cols, b.data(),
               b_cols, beta, c_ref.data(), c.n);
   sgemm(c.ta, c.tb, c.m, c.n, c.k, alpha, a.data(), a_cols, b.data(), b_cols,
-        beta, c_blk.data(), c.n);
+        beta, c_got.data(), c.n);
   for (size_t i = 0; i < c_ref.size(); ++i) {
-    EXPECT_NEAR(c_blk[i], c_ref[i], 1e-4f) << "at " << i;
+    EXPECT_NEAR(c_got[i], c_ref[i], 1e-4f) << "at " << i;
   }
 }
 
@@ -97,26 +97,6 @@ TEST(Gemm, KZeroAppliesBetaOnly) {
   sgemm(false, false, 1, 1, 0, 1.0f, a.data(), 1, a.data(), 1, 2.0f, c.data(),
         1);
   EXPECT_FLOAT_EQ(c[0], 10.0f);
-}
-
-TEST(Gemm, CustomBlockingMatches) {
-  Rng rng(77);
-  const int64_t m = 37, n = 53, k = 29;
-  const std::vector<float> a = random_matrix(m, k, rng);
-  const std::vector<float> b = random_matrix(k, n, rng);
-  std::vector<float> ref(static_cast<size_t>(m * n), 0.0f);
-  sgemm_naive(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-              ref.data(), n);
-  for (const GemmBlocking blk :
-       {GemmBlocking{8, 8, 8}, GemmBlocking{1, 1, 1}, GemmBlocking{16, 512, 4}}) {
-    std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
-    sgemm_blocked(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-                  out.data(), n, blk);
-    for (size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_NEAR(out[i], ref[i], 1e-4f)
-          << "blocking " << blk.mc << "/" << blk.nc << "/" << blk.kc;
-    }
-  }
 }
 
 }  // namespace

@@ -217,8 +217,7 @@ TEST(KernelParity, InfinityTimesZeroIsNanInEveryKernel) {
           c.data(), 2);
     return c;
   };
-  for (GemmKernel kern :
-       {GemmKernel::kNaive, GemmKernel::kBlocked, GemmKernel::kPacked}) {
+  for (GemmKernel kern : {GemmKernel::kNaive, GemmKernel::kPacked}) {
     const std::vector<float> c = run(kern);
     EXPECT_TRUE(std::isnan(c[0]))
         << gemm_kernel_name(kern) << ": 0 * inf must be NaN";
@@ -446,7 +445,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 2),  // kNone/kPerRow/kPerCol
                        ::testing::Values(0, 1),     // kNone/kReLU
                        ::testing::Values(GemmKernel::kNaive,
-                                         GemmKernel::kBlocked,
                                          GemmKernel::kPacked)));
 
 TEST(EpilogueParity, ReluEpilogueZeroesNanDeterministically) {
@@ -472,14 +470,15 @@ TEST(EpilogueParity, ReluEpilogueZeroesNanDeterministically) {
 // Dispatch plumbing.
 
 TEST(KernelDispatch, NamesRoundTripAndEnvOverrideParses) {
-  for (GemmKernel k : {GemmKernel::kAuto, GemmKernel::kNaive,
-                       GemmKernel::kBlocked, GemmKernel::kPacked}) {
+  for (GemmKernel k :
+       {GemmKernel::kAuto, GemmKernel::kNaive, GemmKernel::kPacked}) {
     GemmKernel parsed;
     ASSERT_TRUE(parse_gemm_kernel(gemm_kernel_name(k), &parsed));
     EXPECT_EQ(parsed, k);
   }
   GemmKernel unused = GemmKernel::kAuto;
   EXPECT_FALSE(parse_gemm_kernel("simd4life", &unused));
+  EXPECT_FALSE(parse_gemm_kernel("blocked", &unused));
   EXPECT_EQ(unused, GemmKernel::kAuto);
 }
 
@@ -610,8 +609,8 @@ TEST(BackwardParity, NonFiniteInputsAgreeOnTransposedPaths) {
     bool ta, tb;
   };
   // One representative per backward path family: small-k rank-update,
-  // paired-depth wgrad (odd k), 16-wide narrow-m, strided-depth narrow-n,
-  // general both-transposed.
+  // paired-depth wgrad (odd k), 16-wide narrow-m, strided-depth narrow-n
+  // (16-wide tile even for n <= 8), general both-transposed.
   const Shape shapes[] = {{72, 64, 8, true, false},
                           {8, 72, 129, false, true},
                           {12, 72, 64, false, true},
@@ -652,7 +651,8 @@ TEST(BackwardParity, TransposedPathsRerunAndSerialRunsAreBitIdentical) {
   // Per-path determinism: the same call twice, and once inside a
   // SerialRegion, must agree to the bit. Covers the small-k rank-update,
   // both paired-depth kernels (even and odd k), the 16-wide narrow-m block,
-  // the strided-depth narrow-n block, and the general transposed pack.
+  // the strided-depth narrow-n block (16-wide), and the general transposed
+  // pack.
   struct Shape {
     int64_t m, n, k;
     bool ta, tb;
@@ -695,60 +695,43 @@ TEST(BackwardParity, TransposedPathsRerunAndSerialRunsAreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch fallback: the one transposed shape class the packed kernel does
-// not serve (a 1x1-result dot product) must route to blocked — never naive —
-// and real dgrad/wgrad shapes must stay on packed.
+// Transposed 1x1-result dot products: the packed kernel serves them through
+// its small-k, narrow-n and general paths. Each must stay within the parity
+// bound of the reference and be bit-identical serial vs pooled.
 
-TEST(KernelDispatch, TransposedDotProductFallsBackToBlocked) {
-  EXPECT_FALSE(sgemm_packed_supported(true, false, 1, 1, 33));
-  EXPECT_FALSE(sgemm_packed_supported(false, true, 1, 1, 33));
-  EXPECT_TRUE(sgemm_packed_supported(false, false, 1, 1, 33));
-  // dgrad / wgrad shapes are always served by packed.
-  EXPECT_TRUE(sgemm_packed_supported(true, false, 72, 1024, 8));
-  EXPECT_TRUE(sgemm_packed_supported(false, true, 8, 72, 1024));
-  EXPECT_TRUE(sgemm_packed_supported(true, false, 1, 64, 8));
-  EXPECT_TRUE(sgemm_packed_supported(false, true, 64, 1, 8));
-
+TEST(KernelDispatch, TransposedDotProductsMatchNaiveAndAreSerialInvariant) {
   ScopedGemmKernel guard(GemmKernel::kPacked);
-  Rng rng(77);
-  const int64_t k = 33;
-  const std::vector<float> a = random_matrix(k, 1, 1, rng);  // A is k x 1
-  const std::vector<float> b = random_matrix(k, 1, 1, rng);
-  float c = 0.5f;
-  float ref = 0.5f;
-  sgemm(true, false, 1, 1, k, 1.0f, a.data(), 1, b.data(), 1, 1.0f, &c, 1);
-  EXPECT_EQ(last_dispatched_kernel(), GemmKernel::kBlocked)
-      << "transposed 1x1 result must fall back to the blocked kernel";
-  sgemm_naive(true, false, 1, 1, k, 1.0f, a.data(), 1, b.data(), 1, 1.0f,
-              &ref, 1);
-  expect_gemm_parity(1, 1, k, 1.0f, a.data(), 1, true, b.data(), 1, false,
-                     1.0f, &ref, &c, &ref, 1, "fallback dot");
-
-  // A dgrad-shaped call right after must go back to packed.
-  const std::vector<float> big_a = random_matrix(8, 72, 72, rng);
-  const std::vector<float> big_b = random_matrix(8, 64, 64, rng);
-  std::vector<float> big_c(72 * 64, 0.0f);
-  sgemm(true, false, 72, 64, 8, 1.0f, big_a.data(), 72, big_b.data(), 64,
-        0.0f, big_c.data(), 64);
-  EXPECT_EQ(last_dispatched_kernel(), GemmKernel::kPacked);
-  // wgrad-shaped call too.
-  std::vector<float> wg_c(8 * 72, 0.0f);
-  sgemm(false, true, 8, 72, 64, 1.0f, big_b.data(), 64, big_c.data(), 64,
-        1.0f, wg_c.data(), 72);
-  EXPECT_EQ(last_dispatched_kernel(), GemmKernel::kPacked);
-
-  // Forcing blocked or naive is always honored verbatim.
-  {
-    ScopedGemmKernel blocked(GemmKernel::kBlocked);
-    float c2 = 0.0f;
-    sgemm(true, false, 1, 1, k, 1.0f, a.data(), 1, b.data(), 1, 0.0f, &c2, 1);
-    EXPECT_EQ(last_dispatched_kernel(), GemmKernel::kBlocked);
-  }
-  {
-    ScopedGemmKernel naive(GemmKernel::kNaive);
-    float c2 = 0.0f;
-    sgemm(true, false, 1, 1, k, 1.0f, a.data(), 1, b.data(), 1, 0.0f, &c2, 1);
-    EXPECT_EQ(last_dispatched_kernel(), GemmKernel::kNaive);
+  const bool combos[][2] = {{true, false}, {false, true}, {true, true}};
+  int ix = 0;
+  for (const auto& combo : combos) {
+    const bool ta = combo[0], tb = combo[1];
+    for (int64_t k : {1, 16, 17, 33, 300}) {
+      Rng rng(static_cast<uint64_t>(700 + ix++));
+      // A is 1 x k (k x 1 when transposed), B is k x 1 (1 x k when
+      // transposed); either way each is k contiguous floats.
+      const int64_t lda = ta ? 1 : k;
+      const int64_t ldb = tb ? k : 1;
+      const std::vector<float> a = random_matrix(k, 1, 1, rng);
+      const std::vector<float> b = random_matrix(k, 1, 1, rng);
+      const float init = 0.5f;
+      float ref = init, pooled = init, serial = init;
+      sgemm_naive(ta, tb, 1, 1, k, 1.0f, a.data(), lda, b.data(), ldb, 1.0f,
+                  &ref, 1);
+      sgemm(ta, tb, 1, 1, k, 1.0f, a.data(), lda, b.data(), ldb, 1.0f,
+            &pooled, 1);
+      {
+        ThreadPool::SerialRegion no_threads;
+        sgemm(ta, tb, 1, 1, k, 1.0f, a.data(), lda, b.data(), ldb, 1.0f,
+              &serial, 1);
+      }
+      char tag[64];
+      std::snprintf(tag, sizeof(tag), "dot ta=%d tb=%d k=%lld", ta ? 1 : 0,
+                    tb ? 1 : 0, static_cast<long long>(k));
+      expect_gemm_parity(1, 1, k, 1.0f, a.data(), lda, ta, b.data(), ldb, tb,
+                         1.0f, &init, &pooled, &ref, 1, tag);
+      if (::testing::Test::HasFatalFailure()) return;
+      EXPECT_EQ(0, std::memcmp(&pooled, &serial, sizeof(float))) << tag;
+    }
   }
 }
 
@@ -761,8 +744,7 @@ TEST(KernelDispatch, EveryKernelAgreesThroughTheDispatcher) {
   std::vector<float> ref = init;
   sgemm_naive(false, false, m, n, k, 0.5f, a.data(), k, b.data(), n, -1.0f,
               ref.data(), n);
-  for (GemmKernel kern :
-       {GemmKernel::kNaive, GemmKernel::kBlocked, GemmKernel::kPacked}) {
+  for (GemmKernel kern : {GemmKernel::kNaive, GemmKernel::kPacked}) {
     ScopedGemmKernel guard(kern);
     std::vector<float> c = init;
     sgemm(false, false, m, n, k, 0.5f, a.data(), k, b.data(), n, -1.0f,

@@ -76,7 +76,7 @@ TEST(LocalOnly, NoTrafficAndLearning) {
 
 TEST(FedAvg, InitializeSynchronizesAllClients) {
   core::Experiment exp(homogeneous_config());
-  auto run = std::make_unique<FederatedRun>(exp.build_clients(),
+  auto run = std::make_unique<FederatedRun>(exp.build_store(),
                                             exp.fl_config());
   FedAvg strat;
   strat.initialize(*run);
@@ -115,7 +115,7 @@ TEST(FedProx, HeavyMuStaysCloserToGlobalThanFedAvg) {
   // Run one round each and compare drift of client 0 from the broadcast
   // model. Deterministic construction makes the comparison exact.
   auto measure_drift = [&](RoundStrategy& strat) {
-    auto run = std::make_unique<FederatedRun>(exp.build_clients(),
+    auto run = std::make_unique<FederatedRun>(exp.build_store(),
                                               exp.fl_config());
     strat.initialize(*run);
     const auto before =
@@ -215,7 +215,7 @@ TEST(KTpFL, PublicBroadcastDominatesSoftLabelTraffic) {
 
 TEST(Server, DataWeightsNormalized) {
   core::Experiment exp(tiny_experiment_config());
-  FederatedRun run(exp.build_clients(), exp.fl_config());
+  FederatedRun run(exp.build_store(), exp.fl_config());
   const auto w = run.data_weights({0, 1, 2, 3});
   double total = 0.0;
   for (double v : w) {
@@ -227,7 +227,7 @@ TEST(Server, DataWeightsNormalized) {
 
 TEST(Server, EvaluateAllReturnsPerClientAccuracies) {
   core::Experiment exp(tiny_experiment_config());
-  FederatedRun run(exp.build_clients(), exp.fl_config());
+  FederatedRun run(exp.build_store(), exp.fl_config());
   const auto acc = run.evaluate_all();
   EXPECT_EQ(acc.size(), 4u);
   for (double a : acc) {
@@ -253,7 +253,7 @@ TEST(Server, CurveRespectsEvalEvery) {
 
 TEST(Aggregate, WeightedAverageUsesRenormalizedSurvivorWeights) {
   core::Experiment exp(tiny_experiment_config());
-  FederatedRun run(exp.build_clients(), exp.fl_config());
+  FederatedRun run(exp.build_store(), exp.fl_config());
   // Clients 0 and 2 dropped out: eq. 1 weights are renormalized over the
   // two survivors, in proportion to their shard sizes.
   const std::vector<int> survivors{1, 3};
