@@ -1,7 +1,8 @@
 // Micro ablation: convolution lowering (DESIGN.md §4, §9).
 // Direct convolution vs im2col+GEMM at the layer geometries the model zoo
-// uses, plus the full Conv2d module forward/backward — for one layer at
-// several batch sizes and for every zoo layer geometry at batch 16.
+// uses, the production im2col/col2im alone at the zoo's lowered geometries,
+// plus the full Conv2d module forward/backward — for one layer at several
+// batch sizes and for every zoo layer geometry at batch 16.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -49,6 +50,76 @@ void BM_ConvLowered(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvLowered)->Args({8, 12, 16})->Args({16, 6, 32});
+
+// Production im2col / col2im over one run of the zoo's lowered (not
+// depthwise) geometries: `per` samples unfolded side by side into one
+// shared column matrix with ld = per * out_h * out_w, exactly as
+// nn::Conv2d lowers a run. `per` is the run width Conv2d picks for the
+// geometry (the largest power of two <= 8 whose column matrix fits its
+// 32 K-float column budget). Args: channels, input height/width, kernel,
+// stride, padding, per.
+struct LoweredRun {
+  ConvGeom g;
+  int64_t per, in_img, ohow, ld;
+
+  explicit LoweredRun(const benchmark::State& state)
+      : g{state.range(0), state.range(1), state.range(1),
+          state.range(2), state.range(2), state.range(3),
+          state.range(3), state.range(4), state.range(4)},
+        per(state.range(5)),
+        in_img(g.channels * g.height * g.width),
+        ohow(g.col_cols()),
+        ld(per * ohow) {}
+};
+
+void BM_Im2col(benchmark::State& state) {
+  const LoweredRun r(state);
+  Rng rng(5);
+  const Tensor x =
+      Tensor::randn({r.per, r.g.channels, r.g.height, r.g.width}, rng);
+  std::vector<float> col(static_cast<size_t>(r.g.col_rows() * r.ld));
+  for (auto _ : state) {
+    for (int64_t j = 0; j < r.per; ++j) {
+      fca::im2col(x.data() + j * r.in_img, r.g, col.data() + j * r.ohow,
+                  r.ld);
+    }
+    benchmark::DoNotOptimize(col.data());
+  }
+  state.SetItemsProcessed(state.iterations() * r.per);
+}
+
+void BM_Col2im(benchmark::State& state) {
+  const LoweredRun r(state);
+  Rng rng(6);
+  const Tensor col = Tensor::randn({r.g.col_rows(), r.ld}, rng);
+  std::vector<float> grad_in(static_cast<size_t>(r.per * r.in_img), 0.0f);
+  for (auto _ : state) {
+    for (int64_t j = 0; j < r.per; ++j) {
+      fca::col2im(col.data() + j * r.ohow, r.ld, r.g,
+                  grad_in.data() + j * r.in_img);
+    }
+    benchmark::DoNotOptimize(grad_in.data());
+  }
+  state.SetItemsProcessed(state.iterations() * r.per);
+}
+
+void ZooLoweredGeometries(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"c", "hw", "k", "s", "p", "per"})
+      // RGB stems: 3x3 and the 5x5 of cnn2/alexnet.
+      ->Args({3, 12, 3, 1, 1, 8})
+      ->Args({3, 12, 5, 1, 2, 2})
+      // 3x3 bodies at each stage, and the strided downsample.
+      ->Args({8, 12, 3, 1, 1, 2})
+      ->Args({16, 6, 3, 1, 1, 4})
+      ->Args({32, 3, 3, 1, 1, 8})
+      ->Args({16, 6, 3, 2, 1, 8})
+      // 1x1 pointwise and the strided 1x1 shortcut.
+      ->Args({8, 6, 1, 1, 0, 8})
+      ->Args({16, 3, 1, 1, 0, 8})
+      ->Args({8, 12, 1, 2, 0, 8});
+}
+BENCHMARK(BM_Im2col)->Apply(ZooLoweredGeometries);
+BENCHMARK(BM_Col2im)->Apply(ZooLoweredGeometries);
 
 void BM_Conv2dForward(benchmark::State& state) {
   const int64_t batch = state.range(0);

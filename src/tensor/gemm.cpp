@@ -14,7 +14,9 @@ inline float op_at(const float* a, int64_t lda, bool trans, int64_t row,
   return trans ? a[col * lda + row] : a[row * lda + col];
 }
 
-inline void scale_c(float beta, int64_t m, int64_t n, float* c, int64_t ldc) {
+}  // namespace
+
+void scale_gemm_c(float beta, int64_t m, int64_t n, float* c, int64_t ldc) {
   if (beta == 1.0f) return;
   for (int64_t i = 0; i < m; ++i) {
     float* row = c + i * ldc;
@@ -26,12 +28,10 @@ inline void scale_c(float beta, int64_t m, int64_t n, float* c, int64_t ldc) {
   }
 }
 
-}  // namespace
-
 void sgemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                  float alpha, const float* a, int64_t lda, const float* b,
                  int64_t ldb, float beta, float* c, int64_t ldc) {
-  scale_c(beta, m, n, c, ldc);
+  scale_gemm_c(beta, m, n, c, ldc);
   if (alpha == 0.0f) return;  // by convention alpha==0 never touches A*B
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t p = 0; p < k; ++p) {

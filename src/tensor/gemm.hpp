@@ -61,6 +61,11 @@ void sgemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                  float alpha, const float* a, int64_t lda, const float* b,
                  int64_t ldb, float beta, float* c, int64_t ldc);
 
+/// C = beta * C over the m x n block: the first step of both kernels.
+/// beta == 1 leaves C untouched and beta == 0 stores zeros, so NaN/Inf
+/// already in C never reach the result.
+void scale_gemm_c(float beta, int64_t m, int64_t n, float* c, int64_t ldc);
+
 /// Standalone epilogue pass over C (what the naive kernel runs after the
 /// product; exposed for the parity tests).
 void apply_gemm_epilogue(int64_t m, int64_t n, float* c, int64_t ldc,

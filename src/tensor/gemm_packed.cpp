@@ -318,18 +318,6 @@ void smalln_block16(int64_t k, int64_t mr, const float* a, int64_t row_stride,
   smalln_block<16, 6>(k, mr, a, row_stride, depth_stride, bt, acc_out);
 }
 
-inline void scale_c(float beta, int64_t m, int64_t n, float* c, int64_t ldc) {
-  if (beta == 1.0f) return;
-  for (int64_t i = 0; i < m; ++i) {
-    float* row = c + i * ldc;
-    if (beta == 0.0f) {
-      std::fill_n(row, n, 0.0f);
-    } else {
-      for (int64_t j = 0; j < n; ++j) row[j] *= beta;
-    }
-  }
-}
-
 /// Packs alpha * op(A)[ic:ic+mb, pc:pc+kb] into MR row-panels:
 /// ap[r*MR*kb + p*MR + i] = alpha * op(A)(ic + r*MR + i, pc + p).
 /// Rows mr..MR of a partial tile are left unwritten; only micro_kernel_tail
@@ -516,7 +504,7 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   FCA_CHECK(m >= 0 && n >= 0 && k >= 0);
   if (m == 0 || n == 0) return;
   if (k == 0 || alpha == 0.0f) {
-    scale_c(beta, m, n, c, ldc);
+    scale_gemm_c(beta, m, n, c, ldc);
     apply_gemm_epilogue(m, n, c, ldc, epi);
     return;
   }
@@ -688,7 +676,7 @@ void sgemm_packed(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   // into C instead of accumulating into zeros, dropping two full C passes
   // (the zero-fill write and the first panel's read-modify-write).
   const bool store_first_panel = beta == 0.0f;
-  if (!store_first_panel) scale_c(beta, m, n, c, ldc);
+  if (!store_first_panel) scale_gemm_c(beta, m, n, c, ldc);
 
   Workspace::Frame caller_frame(Workspace::tls());
   // One B-panel buffer sized for the largest (kb, nb) this call will see;

@@ -1,7 +1,9 @@
 #include "tensor/im2col.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <type_traits>
+
+#include "tensor/workspace.hpp"
 
 namespace fca {
 
@@ -21,9 +23,88 @@ inline void valid_x_range(int64_t ow, int64_t width, int64_t stride,
   *x1 = std::max(std::min(hi, ow), *x0);
 }
 
+/// Widest row given a compile-time length (see with_width).
+constexpr int64_t kStaticWidths = 16;
+
+/// Calls fn(std::integral_constant<int64_t, n>) when 0 < n <=
+/// kStaticWidths and fn(std::integral_constant<int64_t, 0>) otherwise
+/// (0: use the runtime width). A row loop over n floats then has a fixed
+/// trip count and unrolls completely on the narrow maps of small images,
+/// where a vectorized loop's set-up costs more than moving 3-12 floats.
+template <int64_t W = kStaticWidths, typename Fn>
+void with_width(int64_t n, Fn&& fn) {
+  if constexpr (W == 0) {
+    fn(std::integral_constant<int64_t, 0>{});
+  } else if (n == W) {
+    fn(std::integral_constant<int64_t, W>{});
+  } else {
+    with_width<W - 1>(n, fn);
+  }
+}
+
+/// Copies the CHW image into the interior of a zero-bordered
+/// [C, H + 2*pad_h, W + 2*pad_w] plane allocated from `frame`. Every tap of
+/// the geometry reads inside that plane, so the im2col/col2im row loops
+/// need no bounds tests.
+float* stage(const float* im, const ConvGeom& g, Workspace::Frame& frame) {
+  const int64_t ph = g.height + 2 * g.pad_h, pw = g.width + 2 * g.pad_w;
+  float* plane = frame.alloc(g.channels * ph * pw);
+  std::fill_n(plane, g.channels * ph * pw, 0.0f);
+  with_width(g.width, [&](auto width) {
+    const int64_t w = width.value > 0 ? width.value : g.width;
+    const float* src = im;
+    for (int64_t c = 0; c < g.channels; ++c) {
+      float* dst = plane + (c * ph + g.pad_h) * pw + g.pad_w;
+      for (int64_t y = 0; y < g.height; ++y, src += w, dst += pw) {
+        for (int64_t x = 0; x < w; ++x) dst[x] = src[x];
+      }
+    }
+  });
+  return plane;
+}
+
+bool padded(const ConvGeom& g) { return g.pad_h != 0 || g.pad_w != 0; }
+
 }  // namespace
 
 void im2col(const float* im, const ConvGeom& g, float* col, int64_t ld) {
+  const int64_t oh = g.out_h();
+  const int64_t sh = g.stride_h, sw = g.stride_w;
+  const int64_t ph = g.height + 2 * g.pad_h, pw = g.width + 2 * g.pad_w;
+  Workspace::Frame frame(Workspace::tls());
+  const float* planes = padded(g) ? stage(im, g, frame) : im;
+  with_width(g.out_w(), [&](auto width) {
+    const int64_t ow = width.value > 0 ? width.value : g.out_w();
+    // Stride-1 taps as wide as the plane (1xk kernels, 1x1 included) read
+    // their whole block as one contiguous run.
+    const bool contiguous = sh == 1 && sw == 1 && ow == pw;
+    int64_t row = 0;
+    for (int64_t c = 0; c < g.channels; ++c) {
+      const float* plane = planes + c * ph * pw;
+      for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
+        for (int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
+          float* dst = col + row * ld;
+          const float* src = plane + kh * pw + kw;
+          if (contiguous) {
+            std::copy_n(src, oh * ow, dst);
+          } else if (sw == 1) {
+            for (int64_t y = 0; y < oh; ++y, dst += ow, src += sh * pw) {
+#pragma omp simd
+              for (int64_t x = 0; x < ow; ++x) dst[x] = src[x];
+            }
+          } else {
+            for (int64_t y = 0; y < oh; ++y, dst += ow, src += sh * pw) {
+              for (int64_t x = 0; x < ow; ++x) dst[x] = src[x * sw];
+            }
+          }
+        }
+      }
+    }
+  });
+}
+
+void im2col_reference(const float* im, const ConvGeom& g, float* col,
+                      int64_t ld) {
   const int64_t oh = g.out_h();
   const int64_t ow = g.out_w();
   int64_t row = 0;
@@ -32,36 +113,13 @@ void im2col(const float* im, const ConvGeom& g, float* col, int64_t ld) {
     for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
         float* dst = col + row * ld;
-        // The in-image x span is the same for every output row; computing
-        // it once hoists all horizontal bounds checks out of the copy loop,
-        // which becomes a memcpy at stride 1 and a branch-free strided
-        // gather otherwise.
-        int64_t x0, x1;
-        valid_x_range(ow, g.width, g.stride_w, g.pad_w, kw, &x0, &x1);
         for (int64_t y = 0; y < oh; ++y) {
-          float* out = dst + y * ow;
           const int64_t iy = y * g.stride_h - g.pad_h + kh;
-          if (iy < 0 || iy >= g.height) {
-            std::memset(out, 0, static_cast<size_t>(ow) * sizeof(float));
-            continue;
-          }
-          if (x0 > 0) {
-            std::memset(out, 0, static_cast<size_t>(x0) * sizeof(float));
-          }
-          const float* src = imc + iy * g.width;
-          if (g.stride_w == 1) {
-            const int64_t off = x0 * g.stride_w - g.pad_w + kw;
-            std::memcpy(out + x0, src + off,
-                        static_cast<size_t>(x1 - x0) * sizeof(float));
-          } else {
-            int64_t ix = x0 * g.stride_w - g.pad_w + kw;
-            for (int64_t x = x0; x < x1; ++x, ix += g.stride_w) {
-              out[x] = src[ix];
-            }
-          }
-          if (x1 < ow) {
-            std::memset(out + x1, 0,
-                        static_cast<size_t>(ow - x1) * sizeof(float));
+          for (int64_t x = 0; x < ow; ++x) {
+            const int64_t ix = x * g.stride_w - g.pad_w + kw;
+            const bool inside =
+                iy >= 0 && iy < g.height && ix >= 0 && ix < g.width;
+            dst[y * ow + x] = inside ? imc[iy * g.width + ix] : 0.0f;
           }
         }
       }
@@ -71,42 +129,50 @@ void im2col(const float* im, const ConvGeom& g, float* col, int64_t ld) {
 
 void col2im(const float* col, int64_t ld, const ConvGeom& g, float* im) {
   const int64_t oh = g.out_h();
-  const int64_t ow = g.out_w();
-  int64_t row = 0;
-  for (int64_t c = 0; c < g.channels; ++c) {
-    float* imc = im + c * g.height * g.width;
-    for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
-      for (int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        const float* src_row = col + row * ld;
-        // Same hoisting as im2col: the valid x span is y-invariant, so the
-        // horizontal bounds checks leave the inner loop entirely. Within one
-        // (c, kh, kw, y) row the map x -> ix is a bijection, so the per-image-
-        // element accumulation order matches the scalar reference exactly and
-        // the result stays byte-equal (overlapping windows only meet across
-        // kh/kw iterations, whose order is unchanged).
-        int64_t x0, x1;
-        valid_x_range(ow, g.width, g.stride_w, g.pad_w, kw, &x0, &x1);
-        for (int64_t y = 0; y < oh; ++y) {
-          const int64_t iy = y * g.stride_h - g.pad_h + kh;
-          if (iy < 0 || iy >= g.height) continue;
-          const float* src = src_row + y * ow;
-          float* dst_row = imc + iy * g.width;
-          if (g.stride_w == 1) {
-            float* dst = dst_row + (x0 - g.pad_w + kw);
-            const float* s = src + x0;
-            const int64_t n = x1 - x0;
+  const int64_t sh = g.stride_h, sw = g.stride_w;
+  const int64_t ph = g.height + 2 * g.pad_h, pw = g.width + 2 * g.pad_w;
+  Workspace::Frame frame(Workspace::tls());
+  // Accumulating into a staged copy of `im` adds exactly the in-image
+  // contributions the reference adds, to the same starting values and in
+  // the same (c, kh, kw, y, x) order; padding taps land on the border,
+  // which is dropped when the interior is copied back. Within one
+  // (c, kh, kw, y) row x -> ix is injective, so the row loop carries no
+  // dependence and the result stays byte-equal to col2im_reference.
+  float* planes = padded(g) ? stage(im, g, frame) : im;
+  with_width(g.out_w(), [&](auto width) {
+    const int64_t ow = width.value > 0 ? width.value : g.out_w();
+    int64_t row = 0;
+    for (int64_t c = 0; c < g.channels; ++c) {
+      float* plane = planes + c * ph * pw;
+      for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
+        for (int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
+          const float* src = col + row * ld;
+          float* dst = plane + kh * pw + kw;
+          if (sw == 1) {
+            for (int64_t y = 0; y < oh; ++y, src += ow, dst += sh * pw) {
 #pragma omp simd
-            for (int64_t i = 0; i < n; ++i) dst[i] += s[i];
+              for (int64_t x = 0; x < ow; ++x) dst[x] += src[x];
+            }
           } else {
-            int64_t ix = x0 * g.stride_w - g.pad_w + kw;
-            for (int64_t x = x0; x < x1; ++x, ix += g.stride_w) {
-              dst_row[ix] += src[x];
+            for (int64_t y = 0; y < oh; ++y, src += ow, dst += sh * pw) {
+              for (int64_t x = 0; x < ow; ++x) dst[x * sw] += src[x];
             }
           }
         }
       }
     }
-  }
+  });
+  if (planes == im) return;
+  with_width(g.width, [&](auto width) {
+    const int64_t w = width.value > 0 ? width.value : g.width;
+    float* dst = im;
+    for (int64_t c = 0; c < g.channels; ++c) {
+      const float* src = planes + (c * ph + g.pad_h) * pw + g.pad_w;
+      for (int64_t y = 0; y < g.height; ++y, src += pw, dst += w) {
+        for (int64_t x = 0; x < w; ++x) dst[x] = src[x];
+      }
+    }
+  });
 }
 
 void col2im_reference(const float* col, int64_t ld, const ConvGeom& g,

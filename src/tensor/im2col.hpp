@@ -36,21 +36,32 @@ struct ConvGeom {
 /// Unfolds one CHW image `im` into the [col_rows, col_cols] block at `col`,
 /// whose rows lie `ld` floats apart (ld >= col_cols; the floats between
 /// col_cols and ld are left untouched). Out-of-image taps read zero
-/// (implicit padding). The horizontal bounds checks are hoisted out of the
-/// inner loop: interior spans are memcpy'd at stride 1 and copied
-/// branch-free at larger strides.
+/// (implicit padding). A padded geometry is first staged into a
+/// zero-bordered [channels, height + 2*pad_h, width + 2*pad_w] plane taken
+/// from the calling thread's workspace arena; an unpadded one is read in
+/// place. Every tap then lies inside the plane, so each column row is a
+/// bounds-free copy of out_w floats (stride 1) or a strided gather, and a
+/// stride-1 tap as wide as the plane (1x1) is one contiguous copy.
+/// Byte-equal to im2col_reference.
 void im2col(const float* im, const ConvGeom& g, float* col, int64_t ld);
+
+/// Scalar per-element-bounds-checked im2col kept as the byte-equality
+/// oracle for the staged version (tests/test_im2col.cpp).
+void im2col_reference(const float* im, const ConvGeom& g, float* col,
+                      int64_t ld);
 
 /// Adjoint of im2col: accumulates the [col_rows, col_cols] block at `col`
 /// (row stride `ld`) back into `im` (im must be zero-initialized by the
-/// caller if accumulation from scratch is wanted). Vectorized like im2col
-/// (hoisted horizontal bounds, contiguous accumulate at stride 1, strided
-/// scatter-add tail); byte-equal to col2im_reference because the
-/// per-element accumulation order is preserved.
+/// caller if accumulation from scratch is wanted). A padded geometry copies
+/// `im` into a zero-bordered workspace plane, accumulates bounds-free rows
+/// into it and copies the interior back; an unpadded one accumulates into
+/// `im` directly. Byte-equal to col2im_reference because every image
+/// element receives the same contributions in the same (c, kh, kw, y, x)
+/// order.
 void col2im(const float* col, int64_t ld, const ConvGeom& g, float* im);
 
 /// Scalar per-element-bounds-checked col2im kept as the byte-equality oracle
-/// for the vectorized version (tests/test_im2col.cpp).
+/// for the staged version (tests/test_im2col.cpp).
 void col2im_reference(const float* col, int64_t ld, const ConvGeom& g,
                       float* im);
 

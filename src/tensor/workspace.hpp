@@ -1,10 +1,11 @@
 // Per-thread workspace arena for kernel scratch memory (DESIGN.md §9).
 //
-// The packed GEMM packs A/B panels and Conv2d unfolds im2col columns into
-// short-lived float buffers on every call. Allocating those with
-// std::vector made every layer forward/backward pay a heap round-trip;
-// the arena instead grows to the high-water mark once and then serves every
-// subsequent request by bumping a pointer into retained chunks.
+// The packed GEMM packs A/B panels, Conv2d unfolds im2col columns and
+// im2col/col2im stage zero-bordered image planes into short-lived float
+// buffers on every call. Allocating those with std::vector made every
+// layer forward/backward pay a heap round-trip; the arena instead grows to
+// the high-water mark once and then serves every subsequent request by
+// bumping a pointer into retained chunks.
 //
 // Usage is strictly scoped:
 //

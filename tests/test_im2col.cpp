@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "tensor/gemm.hpp"
@@ -71,14 +73,93 @@ TEST(Im2col, Col2imIsAdjoint) {
 }
 
 // ---------------------------------------------------------------------------
-// col2im: the vectorized implementation (hoisted bounds, contiguous
-// accumulate at stride 1, strided scatter-add tail) must be byte-equal to
-// the retained scalar reference — the per-element accumulation order is part
-// of the determinism contract, so even a benign reassociation is a failure.
+// im2col / col2im: the staged implementations (zero-bordered plane,
+// bounds-free row copies and accumulates) must be byte-equal to the
+// retained scalar references. For col2im the per-element accumulation order
+// is part of the determinism contract, so even a benign reassociation is a
+// failure; for im2col every column float is a copy or the +0.0 of padding.
 
 struct Col2imCase {
   int64_t c, h, w, k, stride, pad;
 };
+
+const Col2imCase kEdgeCases[] = {
+    // 1x1 kernel: pure copy-accumulate, no overlap.
+    Col2imCase{2, 5, 5, 1, 1, 0},
+    // Overlapping windows (stride < kernel): every interior image
+    // element accumulates k*k column entries across kh/kw iterations.
+    Col2imCase{3, 8, 8, 3, 1, 1},
+    Col2imCase{2, 9, 7, 5, 1, 2},
+    // Strided gather / scatter-add (stride > 1).
+    Col2imCase{3, 8, 8, 3, 2, 1},
+    Col2imCase{1, 11, 11, 5, 3, 2},
+    // Padding wider than the live span on one side; tiny images where
+    // some kernel taps read only padding.
+    Col2imCase{1, 2, 2, 3, 1, 1},
+    Col2imCase{1, 4, 2, 3, 1, 2},
+    // Non-square, stride 2, 5x5 (the cnn2/alexnet backward geometry).
+    Col2imCase{2, 12, 10, 5, 2, 2},
+    // Single-pixel output column.
+    Col2imCase{2, 3, 3, 3, 1, 0},
+};
+
+// The per-group geometries the model zoo lowers (12x12 inputs, width 8).
+const Col2imCase kZooCases[] = {
+    Col2imCase{8, 12, 12, 3, 1, 1},   // 3x3 body at 12x12
+    Col2imCase{32, 3, 3, 3, 1, 1},    // 3x3 body at 3x3
+    Col2imCase{16, 6, 6, 3, 2, 1},    // strided 3x3 downsample
+    Col2imCase{3, 12, 12, 5, 1, 2},   // 5x5 stem
+    Col2imCase{16, 6, 6, 1, 1, 0},    // 1x1 pointwise
+    Col2imCase{8, 12, 12, 1, 2, 0},   // 1x1 strided shortcut
+};
+
+std::string describe(const Col2imCase& p, int64_t ld) {
+  std::ostringstream os;
+  os << "c=" << p.c << " h=" << p.h << " w=" << p.w << " k=" << p.k
+     << " stride=" << p.stride << " pad=" << p.pad << " ld=" << ld;
+  return os.str();
+}
+
+class Im2colParityTest : public ::testing::TestWithParam<Col2imCase> {};
+
+TEST_P(Im2colParityTest, StagedByteEqualToScalarReference) {
+  const Col2imCase p = GetParam();
+  ConvGeom g{p.c, p.h, p.w, p.k, p.k, p.stride, p.stride, p.pad, p.pad};
+  ASSERT_GT(g.out_h(), 0);
+  ASSERT_GT(g.out_w(), 0);
+  Rng rng(37);
+  const int64_t rows = g.col_rows(), cols = g.col_cols();
+  std::vector<float> im =
+      random_vec(static_cast<size_t>(p.c * p.h * p.w), rng);
+  im.front() = -0.0f;  // copied with its sign; padding reads +0.0
+  constexpr float kSentinel = -12345.0f;
+  // ld == cols is the one-sample layout; ld == 3 * cols + 5 writes this
+  // sample as the middle block of a shared multi-sample column matrix
+  // (plus a ragged tail), as Conv2d's chunk-batched lowering does. Every
+  // float outside the block must keep its sentinel.
+  for (const int64_t ld : {cols, 3 * cols + 5}) {
+    const int64_t offset = ld == cols ? 0 : cols;
+    const size_t size = static_cast<size_t>(rows * ld);
+    std::vector<float> staged(size, kSentinel);
+    std::vector<float> ref(size, kSentinel);
+    im2col(im.data(), g, staged.data() + offset, ld);
+    im2col_reference(im.data(), g, ref.data() + offset, ld);
+    ASSERT_EQ(0, std::memcmp(staged.data(), ref.data(), size * sizeof(float)))
+        << describe(p, ld);
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t j = 0; j < ld; ++j) {
+        if (j >= offset && j < offset + cols) continue;
+        ASSERT_EQ(staged[static_cast<size_t>(r * ld + j)], kSentinel)
+            << "im2col wrote outside its block, " << describe(p, ld);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EdgeGeometries, Im2colParityTest,
+                         ::testing::ValuesIn(kEdgeCases));
+INSTANTIATE_TEST_SUITE_P(ZooGeometries, Im2colParityTest,
+                         ::testing::ValuesIn(kZooCases));
 
 class Col2imParityTest : public ::testing::TestWithParam<Col2imCase> {};
 
@@ -106,31 +187,14 @@ TEST_P(Col2imParityTest, VectorizedByteEqualToScalarReference) {
     col2im_reference(block, ld, g, ref_im.data());
     ASSERT_EQ(0, std::memcmp(vec_im.data(), ref_im.data(),
                              im_size * sizeof(float)))
-        << "c=" << p.c << " h=" << p.h << " w=" << p.w << " k=" << p.k
-        << " stride=" << p.stride << " pad=" << p.pad << " ld=" << ld;
+        << describe(p, ld);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    EdgeGeometries, Col2imParityTest,
-    ::testing::Values(
-        // 1x1 kernel: pure copy-accumulate, no overlap.
-        Col2imCase{2, 5, 5, 1, 1, 0},
-        // Overlapping windows (stride < kernel): every interior image
-        // element accumulates k*k column entries across kh/kw iterations.
-        Col2imCase{3, 8, 8, 3, 1, 1},
-        Col2imCase{2, 9, 7, 5, 1, 2},
-        // Strided scatter-add tail (stride > 1 skips the memcpy-style path).
-        Col2imCase{3, 8, 8, 3, 2, 1},
-        Col2imCase{1, 11, 11, 5, 3, 2},
-        // Padding wider than the live span on one side; tiny images where
-        // the valid x range is empty for some kernel taps.
-        Col2imCase{1, 2, 2, 3, 1, 1},
-        Col2imCase{1, 4, 2, 3, 1, 2},
-        // Non-square, stride 2, 5x5 (the cnn2/alexnet backward geometry).
-        Col2imCase{2, 12, 10, 5, 2, 2},
-        // Single-pixel output column.
-        Col2imCase{2, 3, 3, 3, 1, 0}));
+INSTANTIATE_TEST_SUITE_P(EdgeGeometries, Col2imParityTest,
+                         ::testing::ValuesIn(kEdgeCases));
+INSTANTIATE_TEST_SUITE_P(ZooGeometries, Col2imParityTest,
+                         ::testing::ValuesIn(kZooCases));
 
 TEST(Col2im, OverlappingAccumulationOrderIsAscendingKernelTap) {
   // One channel, 2x2 image, 2x2 kernel, stride 1, pad 1 -> 3x3 outputs; the

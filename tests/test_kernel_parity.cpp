@@ -13,7 +13,8 @@
 //   * exact NaN/Inf propagation, which requires the reference itself to be
 //     IEEE-faithful (no zero-skip — the historical sgemm_naive divergence);
 //   * bit-exact rerun determinism of the packed kernel, serial vs pooled;
-//   * workspace-arena reuse and aliasing behavior;
+//   * workspace-arena reuse and aliasing behavior, including a steady-state
+//     Conv2d forward+backward that must not grow the arena;
 //   * the fused epilogue against its standalone two-pass equivalent.
 //
 // CI runs this binary once per FCA_GEMM_KERNEL value under ASan/UBSan.
@@ -29,6 +30,7 @@
 #include <limits>
 #include <vector>
 
+#include "nn/conv.hpp"
 #include "tensor/kernel.hpp"
 #include "tensor/workspace.hpp"
 #include "utils/rng.hpp"
@@ -306,6 +308,29 @@ TEST(WorkspaceArena, SteadyStateCallsDoNotGrowTheArena) {
   }
   EXPECT_EQ(ws.chunks_created(), chunks_after_warmup)
       << "repeat calls of the same shape must not allocate";
+  EXPECT_EQ(ws.capacity_floats(), capacity_after_warmup);
+}
+
+TEST(WorkspaceArena, SteadyStateConv2dDoesNotGrowTheArena) {
+  // A padded Conv2d stages its input plane, unfolds columns and packs GEMM
+  // panels in nested frames of the lane's arena; once one forward+backward
+  // has set the high-water mark, repeats must be served without growth.
+  // Batch 9 spans two chunks, the second one a single-sample run.
+  Workspace& ws = Workspace::tls();
+  Rng rng(5);
+  nn::Conv2d conv(8, 16, 3, /*stride=*/1, /*padding=*/1, rng);
+  const Tensor x = Tensor::randn({9, 8, 12, 12}, rng);
+  ThreadPool::SerialRegion on_this_thread;  // every frame on this arena
+  const auto step = [&] {
+    const Tensor y = conv.forward(x, /*train=*/true);
+    conv.backward(y);
+  };
+  step();
+  const uint64_t chunks_after_warmup = ws.chunks_created();
+  const size_t capacity_after_warmup = ws.capacity_floats();
+  for (int rep = 0; rep < 5; ++rep) step();
+  EXPECT_EQ(ws.chunks_created(), chunks_after_warmup)
+      << "steady-state Conv2d forward+backward must not allocate";
   EXPECT_EQ(ws.capacity_floats(), capacity_after_warmup);
 }
 
