@@ -37,6 +37,8 @@ std::vector<std::byte> encode_client_index(const std::vector<int>& ids) {
 std::vector<int> decode_client_index(std::span<const std::byte> bytes) {
   ByteReader r(bytes);
   const uint32_t count = r.u32();
+  FCA_CHECK_MSG(count <= r.remaining() / sizeof(uint32_t),
+                "client index claims " << count << " ids");
   std::vector<int> ids(count);
   for (uint32_t i = 0; i < count; ++i) ids[i] = static_cast<int>(r.u32());
   r.expect_done();
@@ -70,7 +72,6 @@ std::vector<fl::RoundMetrics> decode_metrics(std::span<const std::byte> bytes,
   ByteReader r(bytes);
   const uint32_t count = r.u32();
   std::vector<fl::RoundMetrics> curve;
-  curve.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     fl::RoundMetrics m;
     m.round = static_cast<int>(r.i64());
@@ -89,6 +90,8 @@ std::vector<fl::RoundMetrics> decode_metrics(std::span<const std::byte> bytes,
     }
     if (version >= 3) m.real_fault_events = r.u64();
     const uint32_t n = r.u32();
+    FCA_CHECK_MSG(n <= r.remaining() / sizeof(double),
+                  "metrics row claims " << n << " client accuracies");
     m.client_accuracies.resize(n);
     for (uint32_t j = 0; j < n; ++j) m.client_accuracies[j] = r.f64();
     curve.push_back(std::move(m));
@@ -158,7 +161,10 @@ void CheckpointManager::save(fl::FederatedRun& run,
           : nullptr);
   std::filesystem::create_directories(options_.dir);
 
-  SectionWriter w;
+  // Sections stream to the file one at a time: a save holds at most one
+  // client's state in memory, never a whole-checkpoint image.
+  const std::string path = checkpoint_path(options_.dir, round);
+  SectionWriter w(path);
   ByteWriter meta;
   meta.u32(static_cast<uint32_t>(run.num_clients()));
   meta.u32(static_cast<uint32_t>(round));
@@ -182,8 +188,7 @@ void CheckpointManager::save(fl::FederatedRun& run,
   if (run.store().bootstrap_armed()) {
     // Lazy-init runs: clients re-derived on resume need the same bootstrap
     // payload the original run armed.
-    const comm::Bytes& boot = run.store().bootstrap_payload();
-    w.add("bootstrap", std::vector<std::byte>(boot.begin(), boot.end()));
+    w.add("bootstrap", run.store().bootstrap_payload());
   }
   ByteWriter net;
   const int ranks = run.network().size();
@@ -208,25 +213,20 @@ void CheckpointManager::save(fl::FederatedRun& run,
   net.u64(f.real_peer_faults);
   w.add("network", net.take());
   w.add("metrics", encode_metrics(cursor.curve));
-
-  const std::string path = checkpoint_path(options_.dir, round);
-  w.write(path);
+  const uint64_t size = w.commit();
 
   ++stats_.saves;
   stats_.save_seconds += timer.seconds();
-  std::error_code ec;
-  const uint64_t size = std::filesystem::file_size(path, ec);
-  if (!ec) {
-    stats_.bytes_written += size;
-    stats_.last_file_bytes = size;
-    if (obs::metrics_enabled()) {
-      obs::MetricsRegistry::instance().counter("ckpt.bytes_written").add(size);
-    }
+  stats_.bytes_written += size;
+  stats_.last_file_bytes = size;
+  if (obs::metrics_enabled()) {
+    obs::MetricsRegistry::instance().counter("ckpt.bytes_written").add(size);
   }
   FCA_LOG_DEBUG << "checkpointed round " << round << " to " << path << " ("
                 << size << " bytes)";
 
   // Retention: drop everything but the newest keep_last files.
+  std::error_code ec;
   std::vector<int> rounds = available_rounds(options_.dir);
   const int excess =
       static_cast<int>(rounds.size()) - options_.keep_last;

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <fstream>
 
-#include "utils/atomic_io.hpp"
 #include "utils/crc32.hpp"
 #include "utils/error.hpp"
 
@@ -20,104 +19,87 @@ uint32_t crc32(std::span<const std::byte> data) {
   return fca::crc32(data);
 }
 
-void ByteWriter::u32(uint32_t v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  out_.insert(out_.end(), p, p + sizeof(v));
+void ByteWriter::put(const void* p, size_t n) {
+  const auto* b = static_cast<const std::byte*>(p);
+  out_.insert(out_.end(), b, b + n);
 }
-void ByteWriter::u64(uint64_t v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  out_.insert(out_.end(), p, p + sizeof(v));
-}
-void ByteWriter::i64(int64_t v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  out_.insert(out_.end(), p, p + sizeof(v));
-}
-void ByteWriter::f64(double v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  out_.insert(out_.end(), p, p + sizeof(v));
-}
-void ByteWriter::str(const std::string& s) {
+void ByteWriter::u32(uint32_t v) { put(&v, sizeof(v)); }
+void ByteWriter::u64(uint64_t v) { put(&v, sizeof(v)); }
+void ByteWriter::i64(int64_t v) { put(&v, sizeof(v)); }
+void ByteWriter::f64(double v) { put(&v, sizeof(v)); }
+void ByteWriter::str(std::string_view s) {
   u32(static_cast<uint32_t>(s.size()));
-  const auto* p = reinterpret_cast<const std::byte*>(s.data());
-  out_.insert(out_.end(), p, p + s.size());
-}
-void ByteWriter::blob(std::span<const std::byte> b) {
-  u64(b.size());
-  out_.insert(out_.end(), b.begin(), b.end());
+  put(s.data(), s.size());
 }
 
-void ByteReader::read(void* dst, size_t n) {
-  FCA_CHECK_MSG(pos_ + n <= bytes_.size(), "truncated checkpoint payload");
-  std::memcpy(dst, bytes_.data() + pos_, n);
-  pos_ += n;
+std::span<const std::byte> ByteReader::take(uint64_t n) {
+  FCA_CHECK_MSG(n <= remaining(), "truncated checkpoint payload");
+  const std::span<const std::byte> out =
+      bytes_.subspan(pos_, static_cast<size_t>(n));
+  pos_ += static_cast<size_t>(n);
+  return out;
 }
 uint32_t ByteReader::u32() {
   uint32_t v;
-  read(&v, sizeof(v));
+  std::memcpy(&v, take(sizeof(v)).data(), sizeof(v));
   return v;
 }
 uint64_t ByteReader::u64() {
   uint64_t v;
-  read(&v, sizeof(v));
+  std::memcpy(&v, take(sizeof(v)).data(), sizeof(v));
   return v;
 }
 int64_t ByteReader::i64() {
   int64_t v;
-  read(&v, sizeof(v));
+  std::memcpy(&v, take(sizeof(v)).data(), sizeof(v));
   return v;
 }
 double ByteReader::f64() {
   double v;
-  read(&v, sizeof(v));
+  std::memcpy(&v, take(sizeof(v)).data(), sizeof(v));
   return v;
 }
 std::string ByteReader::str() {
-  const uint32_t len = u32();
-  FCA_CHECK_MSG(pos_ + len <= bytes_.size(), "truncated checkpoint payload");
-  std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), len);
-  pos_ += len;
-  return s;
+  const std::span<const std::byte> s = take(u32());
+  return std::string(reinterpret_cast<const char*>(s.data()), s.size());
 }
-std::vector<std::byte> ByteReader::blob() {
-  const uint64_t len = u64();
-  FCA_CHECK_MSG(pos_ + len <= bytes_.size(), "truncated checkpoint payload");
-  std::vector<std::byte> b(bytes_.begin() + static_cast<ptrdiff_t>(pos_),
-                           bytes_.begin() + static_cast<ptrdiff_t>(pos_ + len));
-  pos_ += len;
-  return b;
-}
+std::span<const std::byte> ByteReader::blob() { return take(u64()); }
 void ByteReader::expect_done() const {
   FCA_CHECK_MSG(done(), "trailing bytes in checkpoint payload");
 }
 
-void SectionWriter::add(const std::string& name,
-                        std::vector<std::byte> payload) {
-  for (const auto& [n, p] : sections_) {
-    FCA_CHECK_MSG(n != name, "duplicate checkpoint section " << name);
-  }
-  sections_.emplace_back(name, std::move(payload));
-}
+namespace {
+// Offset of the u32 section count in the file header.
+constexpr uint64_t kSectionCountOffset = sizeof(kMagic) + sizeof(uint32_t);
+}  // namespace
 
-void SectionWriter::write(const std::string& path, uint32_t version) const {
-  std::vector<std::byte> file(
-      reinterpret_cast<const std::byte*>(kMagic),
-      reinterpret_cast<const std::byte*>(kMagic) + sizeof(kMagic));
+SectionWriter::SectionWriter(const std::string& path, uint32_t version)
+    : file_(path) {
+  file_.write(std::as_bytes(std::span(kMagic)));
   ByteWriter header;
   header.u32(version);
-  header.u32(static_cast<uint32_t>(sections_.size()));
-  for (const auto& [name, payload] : sections_) {
-    header.str(name);
-    header.u64(payload.size());
-    header.u32(crc32(payload));
-    const std::vector<std::byte> chunk = header.take();
-    file.insert(file.end(), chunk.begin(), chunk.end());
-    file.insert(file.end(), payload.begin(), payload.end());
+  header.u32(0);  // section count, patched by commit()
+  file_.write(header.take());
+}
+
+void SectionWriter::add(std::string_view name,
+                        std::span<const std::byte> payload) {
+  for (const std::string& n : names_) {
+    FCA_CHECK_MSG(n != name, "duplicate checkpoint section " << name);
   }
-  if (sections_.empty()) {
-    const std::vector<std::byte> chunk = header.take();
-    file.insert(file.end(), chunk.begin(), chunk.end());
-  }
-  atomic_write_file(path, std::span<const std::byte>(file));
+  names_.emplace_back(name);
+  ByteWriter header;
+  header.str(name);
+  header.u64(payload.size());
+  header.u32(crc32(payload));
+  file_.write(header.take());
+  file_.write(payload);
+}
+
+uint64_t SectionWriter::commit() {
+  const auto count = static_cast<uint32_t>(names_.size());
+  file_.write_at(kSectionCountOffset, std::as_bytes(std::span(&count, 1)));
+  return file_.commit();
 }
 
 SectionReader::SectionReader(const std::string& path) {
@@ -149,7 +131,7 @@ SectionReader::SectionReader(const std::string& path) {
     const size_t header_size =
         sizeof(uint32_t) + name.size() + sizeof(uint64_t) + sizeof(uint32_t);
     const size_t payload_offset = offset + header_size;
-    FCA_CHECK_MSG(payload_offset + len <= file_.size(),
+    FCA_CHECK_MSG(len <= file_.size() - payload_offset,
                   path << ": section " << name << " truncated");
     const std::span<const std::byte> payload =
         std::span<const std::byte>(file_).subspan(payload_offset,

@@ -19,17 +19,27 @@
 // to the section layout or to a section's internal encoding bumps
 // kFormatVersion; readers accept versions 1..kFormatVersion (decoders
 // branch on SectionReader::version() to default fields a version predates)
-// and reject newer ones outright rather than guessing. Files are written
-// atomically (temp file + rename), so a crash
-// mid-save can never leave a truncated file under the final name — and if
-// anything else corrupts one, the per-section CRC catches it on load.
+// and reject newer ones outright rather than guessing.
+//
+// Writing streams: SectionWriter writes the file header at construction and
+// each section's header + payload straight into a temp file as it is added,
+// then fills in the section count on commit(), so a save holds one section
+// in memory at a time, never a whole-file image. The temp file is renamed over
+// the target on commit() and removed if the writer dies first (no fsync;
+// see utils/atomic_io.hpp), so a crash mid-save can never leave a
+// truncated file under the final name — and if anything else corrupts one,
+// the per-section CRC catches it on load.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "utils/atomic_io.hpp"
+#include "utils/error.hpp"
 
 namespace fca::ckpt {
 
@@ -49,15 +59,29 @@ inline constexpr uint32_t kFormatVersion = 4;
 /// CRC32 (IEEE 802.3, reflected, init/final 0xFFFFFFFF) of `data`.
 uint32_t crc32(std::span<const std::byte> data);
 
-/// Little-endian scalar/byte-string encoder for section payloads.
+/// Little-endian scalar/byte-string encoder for section payloads. Encoders
+/// that know their payload size pass it to the constructor so the buffer
+/// is allocated once and take() returns it with capacity() == size().
 class ByteWriter {
  public:
+  explicit ByteWriter(size_t capacity = 0) { out_.reserve(capacity); }
   void u32(uint32_t v);
   void u64(uint64_t v);
   void i64(int64_t v);
   void f64(double v);
-  void str(const std::string& s);            // u32 length + bytes
-  void blob(std::span<const std::byte> b);   // u64 length + bytes
+  void str(std::string_view s);  // u32 length + bytes
+  /// u64 length + `size` bytes that `fill(buffer)` appends in place — the
+  /// single-copy way to embed another encoder's output (e.g.
+  /// models::append_state) without building it in a buffer of its own.
+  template <typename Fill>
+  void blob(size_t size, Fill&& fill) {
+    u64(size);
+    const size_t start = out_.size();
+    fill(out_);
+    FCA_CHECK_MSG(out_.size() - start == size,
+                  "blob encoder wrote " << out_.size() - start
+                                        << " bytes, announced " << size);
+  }
   /// Returns the accumulated bytes and resets the writer.
   std::vector<std::byte> take() {
     std::vector<std::byte> v = std::move(out_);
@@ -66,10 +90,13 @@ class ByteWriter {
   }
 
  private:
+  void put(const void* p, size_t n);
   std::vector<std::byte> out_;
 };
 
 /// Strict decoder matching ByteWriter; throws fca::Error on truncation.
+/// Every length is compared against the bytes remaining (never as
+/// `pos + len`, which a length near 2^64 would wrap).
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::byte> bytes) : bytes_(bytes) {}
@@ -78,30 +105,39 @@ class ByteReader {
   int64_t i64();
   double f64();
   std::string str();
-  std::vector<std::byte> blob();
+  /// u64 length + bytes, as a view into the payload (no copy).
+  std::span<const std::byte> blob();
+  size_t remaining() const { return bytes_.size() - pos_; }
   bool done() const { return pos_ == bytes_.size(); }
   /// Asserts the payload was consumed exactly.
   void expect_done() const;
 
  private:
-  void read(void* dst, size_t n);
+  std::span<const std::byte> take(uint64_t n);
   std::span<const std::byte> bytes_;
   size_t pos_ = 0;
 };
 
-/// Accumulates named sections and writes the container atomically.
+/// Streams a checkpoint container to `path`: the file header goes out at
+/// construction, each add() writes one section (header + payload) straight
+/// to the temp file, and commit() fills in the section count and renames
+/// the file into place. Destroyed before commit — an exception while
+/// producing a later section — it removes the temp file, leaving any
+/// previous file at `path` byte-identical.
 class SectionWriter {
  public:
-  /// Adds a section; names must be unique within one file.
-  void add(const std::string& name, std::vector<std::byte> payload);
-  /// Serializes header + sections and atomically replaces `path`. The
-  /// version override exists for tests that fabricate older-format files;
-  /// production saves always stamp kFormatVersion.
-  void write(const std::string& path,
-             uint32_t version = kFormatVersion) const;
+  /// The version override exists for tests that fabricate older-format
+  /// files; production saves always stamp kFormatVersion.
+  explicit SectionWriter(const std::string& path,
+                         uint32_t version = kFormatVersion);
+  /// Writes a section; names must be unique within one file.
+  void add(std::string_view name, std::span<const std::byte> payload);
+  /// Atomically replaces the target; returns the file size in bytes.
+  uint64_t commit();
 
  private:
-  std::vector<std::pair<std::string, std::vector<std::byte>>> sections_;
+  AtomicFileWriter file_;
+  std::vector<std::string> names_;
 };
 
 /// Parses and fully validates a checkpoint file: magic, version, structure,

@@ -228,20 +228,24 @@ void ClientStore::evict_locked(int k) {
   auto it = entries_.find(k);
   FCA_DCHECK(it != entries_.end() && it->second.pins == 0);
   if (dirty_[static_cast<size_t>(k)] != 0) {
-    ckpt::SectionWriter w;
-    ckpt::ByteWriter meta;
-    meta.u32(static_cast<uint32_t>(k));
-    w.add("meta", meta.take());
-    w.add("state", encode_client_state(*it->second.client));
-    w.write(page_path(k));
-    page_valid_[static_cast<size_t>(k)] = 1;
-    ++stats_.page_writes;
+    write_page_locked(k, encode_client_state(*it->second.client));
   } else {
     // Clean clients are pure factory (+ bootstrap) output: drop without a
     // page write and re-derive on the next touch.
     ++stats_.clean_drops;
   }
   entries_.erase(it);
+}
+
+void ClientStore::write_page_locked(int k, std::span<const std::byte> state) {
+  ckpt::ByteWriter meta;
+  meta.u32(static_cast<uint32_t>(k));
+  ckpt::SectionWriter w(page_path(k));
+  w.add("meta", meta.take());
+  w.add("state", state);
+  w.commit();
+  page_valid_[static_cast<size_t>(k)] = 1;
+  ++stats_.page_writes;
 }
 
 void ClientStore::arm_bootstrap(FederatedRun* run, RoundStrategy* strategy,
@@ -335,14 +339,7 @@ void ClientStore::restore_serialized_state(int k,
     // Write the checkpoint bytes straight through as k's page; the client
     // materializes from it on next touch. Keeps restores O(dirty bytes)
     // instead of O(population) materializations.
-    ckpt::SectionWriter w;
-    ckpt::ByteWriter meta;
-    meta.u32(static_cast<uint32_t>(k));
-    w.add("meta", meta.take());
-    w.add("state", std::vector<std::byte>(bytes.begin(), bytes.end()));
-    w.write(page_path(k));
-    page_valid_[static_cast<size_t>(k)] = 1;
-    ++stats_.page_writes;
+    write_page_locked(k, bytes);
     return;
   }
   Client& c = materialize_locked(k, lk);

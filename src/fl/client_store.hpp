@@ -207,6 +207,7 @@ class ClientStore {
   Client& materialize_locked(int k, std::unique_lock<std::mutex>& lk);
   void ensure_room_locked();
   void evict_locked(int k);
+  void write_page_locked(int k, std::span<const std::byte> state);
   void release(int k);
   void check_id(int k) const;
 

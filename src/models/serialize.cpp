@@ -13,15 +13,20 @@ namespace {
 // Buffer format, little-endian:
 //   u32 tensor_count
 //   per tensor: u32 name_len, name bytes, u32 ndim, i64 dims..., f32 data...
+//
+// Encoders append into a buffer reserved to serialized_named_size, so every
+// byte is copied once out of tensor memory. Decoders check every count,
+// length, dim and data size against the bytes remaining before they
+// allocate for it; the in-place decoder checks the whole buffer against its
+// targets before it writes any of them.
 
-void put_u32(std::vector<std::byte>& out, uint32_t v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
+void put(std::vector<std::byte>& out, const void* p, size_t n) {
+  const auto* b = static_cast<const std::byte*>(p);
+  out.insert(out.end(), b, b + n);
 }
 
-void put_i64(std::vector<std::byte>& out, int64_t v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
+void put_u32(std::vector<std::byte>& out, uint32_t v) {
+  put(out, &v, sizeof(v));
 }
 
 class Reader {
@@ -30,77 +35,87 @@ class Reader {
 
   uint32_t u32() {
     uint32_t v;
-    read(&v, sizeof(v));
+    std::memcpy(&v, take(sizeof(v)), sizeof(v));
     return v;
   }
   int64_t i64() {
     int64_t v;
-    read(&v, sizeof(v));
+    std::memcpy(&v, take(sizeof(v)), sizeof(v));
     return v;
   }
-  std::string str(size_t len) {
-    FCA_CHECK_MSG(pos_ + len <= bytes_.size(), "truncated buffer");
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), len);
-    pos_ += len;
-    return s;
+  /// Consumes `n` bytes and returns where they start.
+  const std::byte* take(size_t n) {
+    FCA_CHECK_MSG(n <= remaining(), "truncated buffer");
+    const std::byte* p = bytes_.data() + pos_;
+    pos_ += n;
+    return p;
   }
-  void floats(float* dst, size_t count) { read(dst, count * sizeof(float)); }
+  size_t remaining() const { return bytes_.size() - pos_; }
   bool done() const { return pos_ == bytes_.size(); }
 
  private:
-  void read(void* dst, size_t n) {
-    FCA_CHECK_MSG(pos_ + n <= bytes_.size(), "truncated buffer");
-    std::memcpy(dst, bytes_.data() + pos_, n);
-    pos_ += n;
-  }
   std::span<const std::byte> bytes_;
   size_t pos_ = 0;
 };
+
+/// Reads the tensor count; every record takes at least name_len + ndim.
+uint32_t read_count(Reader& r) {
+  const uint32_t count = r.u32();
+  FCA_CHECK_MSG(count <= r.remaining() / (2 * sizeof(uint32_t)),
+                "tensor count " << count << " does not fit the "
+                                << r.remaining() << " bytes that follow");
+  return count;
+}
+
+std::string_view read_name(Reader& r) {
+  const uint32_t len = r.u32();
+  return {reinterpret_cast<const char*>(r.take(len)), len};
+}
+
+/// Reads one record into a new tensor, checking its rank, dims and data
+/// length against the bytes remaining before anything is allocated.
+Tensor read_tensor(Reader& r) {
+  const std::string_view name = read_name(r);
+  const uint32_t ndim = r.u32();
+  FCA_CHECK_MSG(ndim <= r.remaining() / sizeof(int64_t),
+                "rank " << ndim << " of tensor '" << name
+                        << "' does not fit the buffer");
+  Shape shape(ndim);
+  size_t numel = 1;
+  for (int64_t& d : shape) {
+    d = r.i64();
+    FCA_CHECK_MSG(d >= 0, "negative dim " << d << " in tensor '" << name
+                                          << "'");
+    // numel stays <= remaining / 4, so the product cannot overflow.
+    FCA_CHECK_MSG(numel == 0 || static_cast<uint64_t>(d) <=
+                                    r.remaining() / sizeof(float) / numel,
+                  "tensor '" << name << "' claims more data than the "
+                             << r.remaining() << " bytes left");
+    numel *= static_cast<size_t>(d);
+  }
+  const std::byte* data = r.take(numel * sizeof(float));
+  Tensor t(shape);
+  if (numel > 0) std::memcpy(t.data(), data, numel * sizeof(float));
+  return t;
+}
 
 struct NamedTensor {
   std::string name;
   Tensor* tensor;
 };
 
-std::vector<std::byte> serialize_named(const std::vector<NamedTensor>& items) {
-  std::vector<std::byte> out;
+void append_named(const std::vector<NamedTensor>& items,
+                  std::vector<std::byte>& out) {
   put_u32(out, static_cast<uint32_t>(items.size()));
   for (const auto& it : items) {
     put_u32(out, static_cast<uint32_t>(it.name.size()));
-    const auto* np = reinterpret_cast<const std::byte*>(it.name.data());
-    out.insert(out.end(), np, np + it.name.size());
+    put(out, it.name.data(), it.name.size());
     put_u32(out, static_cast<uint32_t>(it.tensor->ndim()));
-    for (int64_t d : it.tensor->shape()) put_i64(out, d);
-    const auto* dp = reinterpret_cast<const std::byte*>(it.tensor->data());
-    out.insert(out.end(), dp,
-               dp + static_cast<size_t>(it.tensor->numel()) * sizeof(float));
+    const Shape& shape = it.tensor->shape();
+    put(out, shape.data(), shape.size() * sizeof(int64_t));
+    put(out, it.tensor->data(),
+        static_cast<size_t>(it.tensor->numel()) * sizeof(float));
   }
-  return out;
-}
-
-void deserialize_named(std::span<const std::byte> bytes,
-                       const std::vector<NamedTensor>& items) {
-  Reader r(bytes);
-  const uint32_t count = r.u32();
-  FCA_CHECK_MSG(count == items.size(), "tensor count mismatch: buffer has "
-                                           << count << ", target has "
-                                           << items.size());
-  for (const auto& it : items) {
-    const uint32_t name_len = r.u32();
-    const std::string name = r.str(name_len);
-    FCA_CHECK_MSG(name == it.name,
-                  "tensor name mismatch: '" << name << "' vs '" << it.name
-                                            << "'");
-    const uint32_t ndim = r.u32();
-    FCA_CHECK_MSG(ndim == static_cast<uint32_t>(it.tensor->ndim()),
-                  "rank mismatch for " << name);
-    for (int64_t d = 0; d < it.tensor->ndim(); ++d) {
-      FCA_CHECK_MSG(r.i64() == it.tensor->dim(d), "shape mismatch for "
-                                                      << name);
-    }
-    r.floats(it.tensor->data(), static_cast<size_t>(it.tensor->numel()));
-  }
-  FCA_CHECK_MSG(r.done(), "trailing bytes after deserialization");
 }
 
 size_t serialized_named_size(const std::vector<NamedTensor>& items) {
@@ -114,6 +129,47 @@ size_t serialized_named_size(const std::vector<NamedTensor>& items) {
   return n;
 }
 
+std::vector<std::byte> serialize_named(const std::vector<NamedTensor>& items) {
+  std::vector<std::byte> out;
+  out.reserve(serialized_named_size(items));
+  append_named(items, out);
+  return out;
+}
+
+/// Decodes into `items` in place. The buffer is checked against the
+/// targets' names and shapes in a first pass and copied in a second, so a
+/// mismatch anywhere leaves every target unwritten.
+void deserialize_named(std::span<const std::byte> bytes,
+                       const std::vector<NamedTensor>& items) {
+  Reader r(bytes);
+  const uint32_t count = r.u32();
+  FCA_CHECK_MSG(count == items.size(), "tensor count mismatch: buffer has "
+                                           << count << ", target has "
+                                           << items.size());
+  std::vector<const std::byte*> data(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    const NamedTensor& it = items[i];
+    const std::string_view name = read_name(r);
+    FCA_CHECK_MSG(name == it.name,
+                  "tensor name mismatch: '" << name << "' vs '" << it.name
+                                            << "'");
+    FCA_CHECK_MSG(r.u32() == static_cast<uint32_t>(it.tensor->ndim()),
+                  "rank mismatch for " << it.name);
+    for (int64_t d = 0; d < it.tensor->ndim(); ++d) {
+      FCA_CHECK_MSG(r.i64() == it.tensor->dim(d),
+                    "shape mismatch for " << it.name);
+    }
+    data[i] = r.take(static_cast<size_t>(it.tensor->numel()) * sizeof(float));
+  }
+  FCA_CHECK_MSG(r.done(), "trailing bytes after deserialization");
+  for (size_t i = 0; i < items.size(); ++i) {
+    const size_t numel = static_cast<size_t>(items[i].tensor->numel());
+    if (numel > 0) {
+      std::memcpy(items[i].tensor->data(), data[i], numel * sizeof(float));
+    }
+  }
+}
+
 std::vector<NamedTensor> param_tensors(const std::vector<nn::Param*>& params) {
   std::vector<NamedTensor> out;
   out.reserve(params.size());
@@ -121,6 +177,16 @@ std::vector<NamedTensor> param_tensors(const std::vector<nn::Param*>& params) {
     // Positional prefix keeps equal simple names ("weight") distinct.
     out.push_back({std::to_string(i) + ":" + params[i]->name,
                    &params[i]->value});
+  }
+  return out;
+}
+
+/// Anonymous tensors are named by position ("0", "1", ...).
+std::vector<NamedTensor> indexed_tensors(const std::vector<Tensor*>& tensors) {
+  std::vector<NamedTensor> out;
+  out.reserve(tensors.size());
+  for (size_t i = 0; i < tensors.size(); ++i) {
+    out.push_back({std::to_string(i), tensors[i]});
   }
   return out;
 }
@@ -161,20 +227,22 @@ size_t serialized_state_size(SplitModel& model) {
   return serialized_named_size(state_tensors(model));
 }
 
+void append_state(SplitModel& model, std::vector<std::byte>& out) {
+  append_named(state_tensors(model), out);
+}
+
 namespace {
 constexpr char kStateMagic[8] = {'F', 'C', 'A', 'S', 'T', 'A', 'T', '1'};
 }  // namespace
 
 void save_state_file(SplitModel& model, const std::string& path) {
   const std::vector<std::byte> body = serialize_state(model);
-  std::vector<std::byte> file(sizeof(kStateMagic) + sizeof(uint64_t) +
-                              body.size());
-  std::memcpy(file.data(), kStateMagic, sizeof(kStateMagic));
   const auto size = static_cast<uint64_t>(body.size());
-  std::memcpy(file.data() + sizeof(kStateMagic), &size, sizeof(size));
-  std::memcpy(file.data() + sizeof(kStateMagic) + sizeof(size), body.data(),
-              body.size());
-  atomic_write_file(path, std::span<const std::byte>(file));
+  AtomicFileWriter file(path);
+  file.write(std::as_bytes(std::span(kStateMagic)));
+  file.write(std::as_bytes(std::span(&size, 1)));
+  file.write(body);
+  file.commit();
 }
 
 void load_state_file(SplitModel& model, const std::string& path) {
@@ -196,35 +264,36 @@ void load_state_file(SplitModel& model, const std::string& path) {
 }
 
 std::vector<std::byte> serialize_tensors(const std::vector<Tensor>& tensors) {
-  std::vector<NamedTensor> items;
-  items.reserve(tensors.size());
-  for (size_t i = 0; i < tensors.size(); ++i) {
-    // serialize_named only reads through the pointer, so the const_cast is
-    // safe; the alternative (templating NamedTensor on constness) is not
-    // worth the noise.
-    items.push_back(
-        {std::to_string(i), const_cast<Tensor*>(&tensors[i])});
-  }
-  return serialize_named(items);
+  std::vector<Tensor*> ptrs;
+  ptrs.reserve(tensors.size());
+  // serialize_named only reads through the pointers, so the const_cast is
+  // safe; the alternative (templating NamedTensor on constness) is not
+  // worth the noise.
+  for (const Tensor& t : tensors) ptrs.push_back(const_cast<Tensor*>(&t));
+  return serialize_named(indexed_tensors(ptrs));
+}
+
+size_t serialized_tensors_size(const std::vector<Tensor*>& tensors) {
+  return serialized_named_size(indexed_tensors(tensors));
+}
+
+void append_tensors(const std::vector<Tensor*>& tensors,
+                    std::vector<std::byte>& out) {
+  append_named(indexed_tensors(tensors), out);
 }
 
 std::vector<Tensor> deserialize_tensors(std::span<const std::byte> bytes) {
   Reader r(bytes);
-  const uint32_t count = r.u32();
+  const uint32_t count = read_count(r);
   std::vector<Tensor> out;
-  out.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint32_t name_len = r.u32();
-    (void)r.str(name_len);
-    const uint32_t ndim = r.u32();
-    Shape shape;
-    for (uint32_t d = 0; d < ndim; ++d) shape.push_back(r.i64());
-    Tensor t(shape);
-    r.floats(t.data(), static_cast<size_t>(t.numel()));
-    out.push_back(std::move(t));
-  }
+  for (uint32_t i = 0; i < count; ++i) out.push_back(read_tensor(r));
   FCA_CHECK_MSG(r.done(), "trailing bytes after tensor deserialization");
   return out;
+}
+
+void deserialize_tensors_into(std::span<const std::byte> bytes,
+                              const std::vector<Tensor*>& tensors) {
+  deserialize_named(bytes, indexed_tensors(tensors));
 }
 
 void copy_param_values(const std::vector<nn::Param*>& src,

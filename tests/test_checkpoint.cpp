@@ -134,13 +134,24 @@ std::vector<std::byte> to_bytes(const std::string& s) {
   return {p, p + s.size()};
 }
 
+/// Names of the entries in `dir`, sorted.
+std::vector<std::string> dir_entries(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
 TEST(CkptFormat, SectionRoundTrip) {
   const std::string path = scratch_dir("sections") + "/file.fckpt";
-  ckpt::SectionWriter w;
+  ckpt::SectionWriter w(path);
   w.add("meta", to_bytes("hello"));
   w.add("client/0", to_bytes("payload zero"));
   w.add("empty", {});
-  w.write(path);
+  const uint64_t size = w.commit();
+  EXPECT_EQ(size, read_file(path).size());
 
   ckpt::SectionReader r(path);
   EXPECT_TRUE(r.has("meta"));
@@ -155,16 +166,106 @@ TEST(CkptFormat, SectionRoundTrip) {
 }
 
 TEST(CkptFormat, DuplicateSectionNameRejected) {
-  ckpt::SectionWriter w;
-  w.add("meta", {});
-  EXPECT_THROW(w.add("meta", {}), Error);
+  const std::string dir = scratch_dir("duplicate");
+  {
+    ckpt::SectionWriter w(dir + "/file.fckpt");
+    w.add("meta", {});
+    EXPECT_THROW(w.add("meta", {}), Error);
+  }
+  // The abandoned writer leaves neither the file nor its temp behind.
+  EXPECT_TRUE(dir_entries(dir).empty());
+}
+
+/// Little-endian encoding of an integer, for hand-built golden files.
+template <typename T>
+void put_le(std::vector<std::byte>& out, T v) {
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    out.push_back(static_cast<std::byte>((static_cast<uint64_t>(v) >> (8 * i)) &
+                                         0xFFu));
+  }
+}
+
+const std::string kMagic("FCACKPT\0", 8);
+
+void put_text(std::vector<std::byte>& out, const std::string& s) {
+  const std::vector<std::byte> b = to_bytes(s);
+  out.insert(out.end(), b.begin(), b.end());
+}
+
+TEST(CkptFormat, StreamedContainerMatchesFormatLayoutByteForByte) {
+  const std::string dir = scratch_dir("golden");
+  // Built by hand from the format.hpp table, with the IEEE CRC32 check
+  // values of the payloads written out as constants.
+  std::vector<std::byte> expected;
+  put_text(expected, kMagic);
+  put_le<uint32_t>(expected, ckpt::kFormatVersion);
+  put_le<uint32_t>(expected, 3);
+  put_le<uint32_t>(expected, 4);
+  put_text(expected, "meta");
+  put_le<uint64_t>(expected, 5);
+  put_le<uint32_t>(expected, 0x3610A686u);  // CRC32("hello")
+  put_text(expected, "hello");
+  put_le<uint32_t>(expected, 8);
+  put_text(expected, "client/7");
+  put_le<uint64_t>(expected, 9);
+  put_le<uint32_t>(expected, 0xCBF43926u);  // CRC32("123456789")
+  put_text(expected, "123456789");
+  put_le<uint32_t>(expected, 5);
+  put_text(expected, "empty");
+  put_le<uint64_t>(expected, 0);
+  put_le<uint32_t>(expected, 0);  // CRC32 of nothing
+  {
+    ckpt::SectionWriter w(dir + "/three.fckpt");
+    w.add("meta", to_bytes("hello"));
+    w.add("client/7", to_bytes("123456789"));
+    w.add("empty", {});
+    EXPECT_EQ(w.commit(), expected.size());
+  }
+  EXPECT_EQ(read_file(dir + "/three.fckpt"), expected);
+
+  // Zero sections: the 16-byte header alone, with an explicit count of 0.
+  std::vector<std::byte> empty;
+  put_text(empty, kMagic);
+  put_le<uint32_t>(empty, 2);
+  put_le<uint32_t>(empty, 0);
+  {
+    ckpt::SectionWriter w(dir + "/none.fckpt", 2);
+    EXPECT_EQ(w.commit(), 16u);
+  }
+  EXPECT_EQ(read_file(dir + "/none.fckpt"), empty);
+  EXPECT_EQ(ckpt::SectionReader(dir + "/none.fckpt").version(), 2u);
+  EXPECT_EQ(dir_entries(dir),
+            (std::vector<std::string>{"none.fckpt", "three.fckpt"}));
+}
+
+TEST(CkptFormat, OverlongLengthsRejectedWithoutWrapping) {
+  // A u64 length near 2^64 would wrap `pos + len`; the readers compare
+  // against the bytes remaining instead.
+  std::vector<std::byte> payload;
+  put_le<uint64_t>(payload, 0xFFFFFFFFFFFFFFF8ull);
+  put_text(payload, "12345678");
+  ckpt::ByteReader blob(payload);
+  EXPECT_THROW(blob.blob(), Error);
+
+  std::vector<std::byte> file;
+  put_text(file, kMagic);
+  put_le<uint32_t>(file, ckpt::kFormatVersion);
+  put_le<uint32_t>(file, 1);
+  put_le<uint32_t>(file, 1);
+  put_text(file, "x");
+  put_le<uint64_t>(file, 0xFFFFFFFFFFFFFFF8ull);
+  put_le<uint32_t>(file, 0);
+  put_text(file, "payload");
+  const std::string path = scratch_dir("overlong") + "/file.fckpt";
+  atomic_write_file(path, std::span<const std::byte>(file));
+  EXPECT_THROW(ckpt::SectionReader{path}, Error);
 }
 
 TEST(CkptFormat, BitFlipInPayloadRejectedByCrc) {
   const std::string path = scratch_dir("bitflip") + "/file.fckpt";
-  ckpt::SectionWriter w;
+  ckpt::SectionWriter w(path);
   w.add("data", to_bytes("a payload long enough to land a flip in"));
-  w.write(path);
+  w.commit();
   ASSERT_NO_THROW(ckpt::SectionReader{path});
   flip_byte(path, read_file(path).size() - 3);  // inside the payload
   EXPECT_THROW(ckpt::SectionReader{path}, Error);
@@ -172,9 +273,9 @@ TEST(CkptFormat, BitFlipInPayloadRejectedByCrc) {
 
 TEST(CkptFormat, TruncationRejected) {
   const std::string path = scratch_dir("trunc") + "/file.fckpt";
-  ckpt::SectionWriter w;
+  ckpt::SectionWriter w(path);
   w.add("data", to_bytes("0123456789abcdef"));
-  w.write(path);
+  w.commit();
   std::vector<std::byte> bytes = read_file(path);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
@@ -190,9 +291,9 @@ TEST(CkptFormat, WrongMagicAndVersionRejected) {
   EXPECT_THROW(ckpt::SectionReader{not_ckpt}, Error);
 
   const std::string versioned = dir + "/v.fckpt";
-  ckpt::SectionWriter w;
+  ckpt::SectionWriter w(versioned);
   w.add("data", to_bytes("x"));
-  w.write(versioned);
+  w.commit();
   flip_byte(versioned, 8);  // first byte of the u32 format version
   EXPECT_THROW(ckpt::SectionReader{versioned}, Error);
 }
@@ -456,6 +557,52 @@ TEST(CheckpointResume, V4CheckpointRecordsSparseClientSetAndBootstrap) {
   EXPECT_EQ(recorded, done.run->store().checkpoint_clients());
 }
 
+TEST(CheckpointResume, SaveFailingMidStreamLeavesPreviousCheckpoints) {
+  // A save streams its sections into a temp file; when producing a later
+  // section throws — here a paged-out client whose page file was corrupted
+  // — the temp file is removed and the retained checkpoints, including one
+  // under the very name being rewritten, stay byte-identical.
+  const std::string dir = scratch_dir("save_throws");
+  ckpt::Options opts;
+  opts.dir = dir;
+  opts.every = 1;
+  opts.keep_last = 3;
+  core::Experiment exp(paged_resume_config(2));
+  core::FedClassAvg strat(exp.fedclassavg_config());
+  const core::CompletedRun done = exp.execute(strat, opts);
+  fl::ClientStore& store = done.run->store();
+
+  const std::vector<std::string> names = dir_entries(dir);
+  ASSERT_EQ(names, (std::vector<std::string>{"ckpt_round_000001.fckpt",
+                                             "ckpt_round_000002.fckpt"}));
+  std::vector<std::vector<std::byte>> before;
+  for (const std::string& n : names) before.push_back(read_file(dir + "/" + n));
+
+  // Page every dirty client out, then corrupt the last one's page so the
+  // save fails after the sections before it were already streamed.
+  store.evict_idle();
+  const std::vector<int> recorded = store.checkpoint_clients();
+  ASSERT_GE(recorded.size(), 2u);
+  const std::string page = store.page_path(recorded.back());
+  flip_byte(page, read_file(page).size() / 2);
+
+  ckpt::CheckpointManager manager(opts);
+  for (int next_round : {3, 4}) {  // rewrite round 2, then a new round 3
+    fl::ResumeState cursor;
+    cursor.next_round = next_round;
+    EXPECT_THROW(manager.save(*done.run, strat, cursor), fl::PageError);
+  }
+  EXPECT_EQ(manager.stats().saves, 0);
+  EXPECT_EQ(dir_entries(dir), names);  // no new file, no .tmp left behind
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(read_file(dir + "/" + names[i]), before[i]) << names[i];
+  }
+  for (const std::string& n : dir_entries(
+           std::filesystem::path(page).parent_path().string())) {
+    EXPECT_EQ(n.find(".tmp"), std::string::npos) << n;
+  }
+}
+
 TEST(CheckpointResume, LazyResumeFromEagerCheckpointRejected) {
   // An eager-init run's checkpoint carries no bootstrap payload, so a
   // lazy-init resume cannot rebuild clean clients from it and must say so.
@@ -484,10 +631,7 @@ TEST(CheckpointResume, LazyResumeFromEagerCheckpointRejected) {
 void downgrade_to_v1(const std::string& path, int num_clients) {
   ckpt::SectionReader reader(path);
   ASSERT_EQ(reader.version(), ckpt::kFormatVersion);
-  const auto copy = [](std::span<const std::byte> s) {
-    return std::vector<std::byte>(s.begin(), s.end());
-  };
-  ckpt::SectionWriter w;
+  ckpt::SectionWriter w(path, 1);
   {
     ckpt::ByteReader r(reader.section("meta"));
     ckpt::ByteWriter out;
@@ -502,10 +646,10 @@ void downgrade_to_v1(const std::string& path, int num_clients) {
     r.expect_done();
     w.add("meta", out.take());
   }
-  w.add("strategy", copy(reader.section("strategy")));
+  w.add("strategy", reader.section("strategy"));
   for (int k = 0; k < num_clients; ++k) {
     const std::string name = "client/" + std::to_string(k);
-    w.add(name, copy(reader.section(name)));
+    w.add(name, reader.section(name));
   }
   {
     ckpt::ByteReader r(reader.section("network"));
@@ -545,7 +689,7 @@ void downgrade_to_v1(const std::string& path, int num_clients) {
     r.expect_done();
     w.add("metrics", out.take());
   }
-  w.write(path, 1);
+  w.commit();
 }
 
 TEST(CheckpointVersioning, V1SnapshotResumesWithZeroedFaultState) {
@@ -601,18 +745,20 @@ TEST(CheckpointVersioning, V1SnapshotResumesWithZeroedFaultState) {
 
 TEST(CheckpointVersioning, NewerFormatVersionRejected) {
   const std::string path = scratch_dir("v_next") + "/file.fckpt";
-  ckpt::SectionWriter w;
+  ckpt::SectionWriter w(path, ckpt::kFormatVersion + 1);
   w.add("data", to_bytes("from the future"));
-  w.write(path, ckpt::kFormatVersion + 1);
+  w.commit();
   EXPECT_THROW(ckpt::SectionReader{path}, Error);
 }
 
 TEST(CheckpointVersioning, VersionAccessorReportsStampedVersion) {
   const std::string dir = scratch_dir("v_accessor");
-  ckpt::SectionWriter w;
-  w.add("data", to_bytes("x"));
-  w.write(dir + "/v1.fckpt", 1);
-  w.write(dir + "/v2.fckpt", 2);
+  for (uint32_t version : {1u, 2u}) {
+    ckpt::SectionWriter w(dir + "/v" + std::to_string(version) + ".fckpt",
+                          version);
+    w.add("data", to_bytes("x"));
+    w.commit();
+  }
   EXPECT_EQ(ckpt::SectionReader(dir + "/v1.fckpt").version(), 1u);
   EXPECT_EQ(ckpt::SectionReader(dir + "/v2.fckpt").version(), 2u);
 }

@@ -255,6 +255,29 @@ TEST(ClientStore, EvictionRestoreRoundTripsAreByteIdentical) {
   }
 }
 
+TEST(ClientStore, SerializedStateIsExactSizeAndServedFromPages) {
+  // A trained client: optimizer slots (Adam moments) are populated.
+  core::Experiment exp(tiny_experiment_config());
+  core::FedClassAvg strat(exp.fedclassavg_config());
+  const core::CompletedRun done = exp.execute(strat);
+  fl::Client& trained = done.run->client(0);
+  ASSERT_FALSE(trained.optimizer().state_tensors().empty());
+  const std::vector<std::byte> encoded = fl::encode_client_state(trained);
+  EXPECT_EQ(encoded.capacity(), encoded.size());
+
+  // Resident and paged-out clients serve the same bytes.
+  StoreFixture f(4, 2);
+  (void)f.store->touch(1, true).rng().next_u64();
+  const std::vector<std::byte> expected =
+      fl::encode_client_state(f.store->touch(1, false));
+  EXPECT_EQ(expected.capacity(), expected.size());
+  EXPECT_EQ(f.store->serialized_state(1), expected);
+  f.store->evict_idle();
+  ASSERT_FALSE(f.store->resident(1));
+  EXPECT_EQ(f.store->serialized_state(1), expected);
+  EXPECT_FALSE(f.store->resident(1));  // lifted from the page, not loaded
+}
+
 TEST(ClientStore, CleanClientsAreDroppedNotPaged) {
   StoreFixture f(6, 2);
   for (int k = 0; k < 6; ++k) (void)f.store->touch(k, false);

@@ -6,18 +6,22 @@ Usage: tools/oracle_diff.py <parent fca_cli> <change fca_cli> [--keep DIR]
 Runs every --algorithm the parent's `--help` lists, in three configurations:
 
   eager     eager init, inproc fabric, serial clients
-  lazy      --lazy-init --max-resident-clients 3 --client-parallelism 2
+  lazy      --lazy-init --max-resident-clients 3 --client-parallelism 2,
+            pages under the run's own --page-dir
   faults    --drop-rate 0.2 --fault-seed 7
 
 For each run it compares, between the two binaries:
 
   * the --save-curve CSV, byte for byte;
-  * the newest checkpoint file in --checkpoint-dir, byte for byte (runs set
-    FCA_DETERMINISTIC_WALL=1 so the per-round wall time the checkpoint
-    records is zero);
+  * every checkpoint file retained in --checkpoint-dir, by name and byte
+    for byte (runs set FCA_DETERMINISTIC_WALL=1 so the per-round wall time
+    the checkpoint records is zero);
   * the --trace-out JSONL, line by line, after dropping only the wall-clock
     keys listed in WALL_CLOCK_KEYS (everything else in the logical trace,
     including sequence numbers and span values, must match).
+
+It also fails a run that leaves a partially written file (a `.tmp` temp
+file of the atomic writers) in its checkpoint or page directory.
 
 A refactor that claims "same behaviour" must exit 0 here. Any mismatch, or a
 run that fails on either side, prints the offending run and exits 1.
@@ -41,10 +45,12 @@ WALL_CLOCK_KEYS = ("ts_us", "dur_us")
 BASE_ARGS = ["--clients", "6", "--rounds", "5", "--train-per-class", "4",
              "--seed", "7"]
 
+# PAGES stands for the run's own page directory.
+PAGES = "{pages}"
 CONFIGS = {
     "eager": [],
     "lazy": ["--lazy-init", "--max-resident-clients", "3",
-             "--client-parallelism", "2"],
+             "--client-parallelism", "2", "--page-dir", PAGES],
     "faults": ["--drop-rate", "0.2", "--fault-seed", "7"],
 }
 
@@ -64,6 +70,8 @@ def algorithms(cli):
 
 def run(cli, algorithm, extra, out_dir):
     os.makedirs(out_dir)
+    extra = [os.path.join(out_dir, "pages") if a == PAGES else a
+             for a in extra]
     cmd = [cli, "--algorithm", algorithm, *BASE_ARGS, *extra,
            "--save-curve", os.path.join(out_dir, "curve.csv"),
            "--checkpoint-dir", os.path.join(out_dir, "ckpt"),
@@ -81,12 +89,24 @@ def read_bytes(path):
         return f.read()
 
 
-def newest_checkpoint(out_dir):
+def checkpoints(out_dir):
+    """Every retained checkpoint of a run, as {file name: bytes}."""
     ckpt_dir = os.path.join(out_dir, "ckpt")
     files = sorted(f for f in os.listdir(ckpt_dir) if f.endswith(".fckpt"))
     if not files:
         raise FileNotFoundError(f"no checkpoint in {ckpt_dir}")
-    return files[-1], read_bytes(os.path.join(ckpt_dir, files[-1]))
+    return {f: read_bytes(os.path.join(ckpt_dir, f)) for f in files}
+
+
+def leftover_temp_files(out_dir):
+    """Temp files the atomic writers left in the checkpoint/page dirs."""
+    found = []
+    for sub in ("ckpt", "pages"):
+        d = os.path.join(out_dir, sub)
+        if os.path.isdir(d):
+            found += [os.path.join(sub, f) for f in sorted(os.listdir(d))
+                      if f.endswith(".tmp")]
+    return found
 
 
 def logical_trace(path):
@@ -106,12 +126,17 @@ def compare(parent_dir, change_dir):
     if read_bytes(os.path.join(parent_dir, "curve.csv")) != read_bytes(
             os.path.join(change_dir, "curve.csv")):
         problems.append("curve CSV differs")
-    p_name, p_ckpt = newest_checkpoint(parent_dir)
-    c_name, c_ckpt = newest_checkpoint(change_dir)
-    if p_name != c_name:
-        problems.append(f"newest checkpoint {p_name} vs {c_name}")
-    elif p_ckpt != c_ckpt:
-        problems.append(f"checkpoint {p_name} differs")
+    p_ckpts = checkpoints(parent_dir)
+    c_ckpts = checkpoints(change_dir)
+    if list(p_ckpts) != list(c_ckpts):
+        problems.append(f"retained checkpoints {list(p_ckpts)} vs "
+                        f"{list(c_ckpts)}")
+    for name in sorted(p_ckpts.keys() & c_ckpts.keys()):
+        if p_ckpts[name] != c_ckpts[name]:
+            problems.append(f"checkpoint {name} differs")
+    for side, d in (("parent", parent_dir), ("change", change_dir)):
+        for f in leftover_temp_files(d):
+            problems.append(f"{side} left {f} behind")
     p_trace = logical_trace(os.path.join(parent_dir, "trace.jsonl"))
     c_trace = logical_trace(os.path.join(change_dir, "trace.jsonl"))
     if len(p_trace) != len(c_trace):
